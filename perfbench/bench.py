@@ -16,41 +16,51 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import gc
+import math
 import os
 import pickle
 import time
 
 from repro.runner.cache import configure_cache
-from repro.serve import InferenceService, build_served_program
+from repro.serve import BatchPolicy, InferenceService, build_served_program
 from repro.serve.http import start_http_server
 from repro.verify import diff_check_dag
 
 from core import (
-    LAYERS, Spans, check_exact_record, geomean, log, median, peak_rss_mb,
-    quantile, weighted_quantile,
+    HOST, LAYERS, Spans, check_exact_record, fast, gc_paused, geomean, log,
+    median, peak_rss_mb, quantile, weighted_quantile,
 )
 from loads import (
     HTTP_ROWS, SERVE_RATE, ServerProcess, closed_loop, expected_matches,
-    http_layer_metrics, open_loop, schedule, serve_layer_metrics, tail_ms,
+    http_layer_metrics, open_loop, schedule, serve_layer_metrics, window_ms,
 )
 from stack import (
     BATCH, ENGINES, CacheDirs, build_dags, engine_outputs,
-    fused_bytes_per_row, plan_image_bytes, programs, rows_per_s, run_pass,
-    same_outputs, time_sweeps,
+    fused_bytes_per_row, plan_image_bytes, programs, round_medians,
+    rows_per_s, run_pass, same_outputs, time_sweeps,
 )
 
 #: Setups per run; the median is ``setup_s``.
 SETUP_REPS = 3
-#: Warm reloads per cold pass; their median is ``warm_nodes_per_s``.
+#: The ``cold`` workload's set-ups (it only builds the DAGs).
+COLD_SETUP_REPS = 7
+#: Warm reloads per cold pass; they give ``warm_nodes_per_s``.
 WARM_REPS = 5
 #: The ``cold`` workload's warm reloads per pass (they are slow there,
 #: so it makes fewer of them).
 COLD_WARM_REPS = 2
+#: Seconds of one ``cold`` iteration (a cold pass, its warm reloads and
+#: a sweep sample); a run makes a fixed number of them for its
+#: ``--seconds``, at least two, so every run does the same work.
+COLD_ITER_S = 10.0
 #: Seconds of steady sweeps (both classes) per sample outside
 #: ``batch``.  Sweep speed drifts within seconds on a shared host, so
 #: the samples are spread over the run: after each set-up and before
 #: and after the traffic (``serve``, ``http``), or after each pass.
 SWEEP_SAMPLE_S = 1.0
+#: Seconds of one window of ``batch`` sweeps (every case, every
+#: simulator); each window gives one sample of the latency and rate.
+BATCH_WINDOW_S = 2.0
 #: Seconds of each layer probe in a traced run.
 PROBE_S = 1.0
 #: Headline metrics for which a larger traced value is an overhead.
@@ -100,15 +110,16 @@ class Run:
         cache, the cold pass and the last warm pass (``None`` without
         reloads)."""
         cache = self.dirs.fresh(self.spans)
-        gc.collect()
-        cold = run_pass(self.progs, blob, cache, self.spans, self.seed)
+        with gc_paused():
+            cold = run_pass(self.progs, blob, cache, self.spans, self.seed)
         warms = []
         for _ in range(warm_reps):
             if warms:
                 # Only the last warm pass's artifacts are kept.
                 warms[-1] = dataclasses.replace(warms[-1], loaded=[])
-            gc.collect()
-            warm = run_pass(self.progs, blob, cache, self.spans, self.seed)
+            with gc_paused():
+                warm = run_pass(
+                    self.progs, blob, cache, self.spans, self.seed)
             for c, w in zip(cold.loaded, warm.loaded):
                 self.check(
                     same_outputs(c.outputs, w.outputs),
@@ -158,11 +169,14 @@ class Run:
         for rep in range(SETUP_REPS):
             if rep and release is not None:
                 release()
+            HOST.tick()
             t = time.perf_counter()
             cache, _cold, warm = self.cold_and_warm(build_dags(self.progs))
             if prepare is not None:
                 state = prepare(cache)
-            times.append(time.perf_counter() - t)
+            done = time.perf_counter()
+            HOST.tick()
+            times.append(HOST.scaled(t, done))
             if sweep:
                 self.sample_sweeps(warm)
         self.e2e["setup_s"] = (median(times), "s")
@@ -170,12 +184,15 @@ class Run:
 
     # -- shared metrics ----------------------------------------------------
     def path_metrics(self) -> None:
-        """Cold/warm throughput from every pass this run made."""
+        """Cold/warm throughput from every pass this run made: all
+        nodes over the sum of each program's fast time."""
         nodes = self.static["nodes"]
         self.e2e["cold_nodes_per_s"] = (
-            nodes / median(p.seconds for p in self.cold_passes), "nodes/s")
+            nodes / sum(program_times(self.cold_passes).values()),
+            "nodes/s")
         self.e2e["warm_nodes_per_s"] = (
-            nodes / median(p.seconds for p in self.warm_passes), "nodes/s")
+            nodes / sum(program_times(self.warm_passes).values()),
+            "nodes/s")
         self.e2e["sim_cycles"] = (
             float(sum(c["cycles_per_row"]
                       for c in self.static["counts"].values())), "cycles")
@@ -183,21 +200,23 @@ class Run:
     def class_sims(self, warm, kind: str):
         return [x for x in warm.loaded if x.prog.kind == kind]
 
-    def sample_sweeps(self, warm, seconds: float = SWEEP_SAMPLE_S) -> None:
+    def sample_sweeps(self, warm, seconds: float = SWEEP_SAMPLE_S,
+                      rounds: int = 2) -> None:
         """One sample of steady auto-engine sweeps over the deep and
         the wide programs; ``report_sweeps`` pools the samples."""
         for kind in ("deep", "wide"):
             times = time_sweeps(
                 self.class_sims(warm, kind), seconds / 2, self.spans,
-                rounds=1)
+                rounds=rounds)
             acc = self.sweeps.setdefault(kind, [[] for _ in times])
-            for case, more in zip(acc, times):
-                case.extend(more)
+            for per_round, case in zip(acc, times):
+                per_round.extend(round_medians(case))
 
     def report_sweeps(self) -> None:
         for kind, acc in self.sweeps.items():
             self.e2e[f"{kind}_rows_per_s"] = (
-                geomean(rows_per_s(t) for t in acc), "rows/s")
+                geomean(rows_per_s(per_round) for per_round in acc),
+                "rows/s")
 
     def engine_gate(self, warm) -> None:
         """Every engine bitwise equal to ``step`` on every program."""
@@ -291,7 +310,8 @@ class Run:
             for engine in ENGINES:
                 times = time_sweeps(members, seconds, self.spans, engine)
                 self.layer[f"sim.batch.{engine}.{kind}_rows_per_s"] = (
-                    geomean(rows_per_s(t) for t in times), "rows/s")
+                    geomean(rows_per_s(round_medians(t)) for t in times),
+                    "rows/s")
 
     def serve_probe(self, cache, _warm) -> None:
         served = self.served(cache)
@@ -366,13 +386,48 @@ class Run:
         if bad:
             log(f"MISMATCH: {bad} of {len(outcomes)} served responses")
 
-    def traffic_metrics(self, outcomes, wall: float) -> None:
-        lat = [o.latency_s * 1e3 for o in outcomes if o.status == "ok"]
-        self.e2e["p50_ms"] = (quantile(lat, 0.5), "ms")
-        self.e2e["p99_ms"] = (tail_ms(outcomes), "ms")
+    def serve_traffic(self, served, seconds: float, salt: int):
+        """The open loop, with the host probed just before and just
+        after it, never during it (a probe would stall the event
+        loop).  Returns ``(outcomes, wall_s, speed)``, ``speed`` in
+        reference seconds per wall second."""
+        HOST.tick()
+        t = time.perf_counter()
+        outcomes, wall = asyncio.run(self.open_loop(served, seconds, salt))
+        done = time.perf_counter()
+        HOST.tick()
+        return outcomes, wall, HOST.scaled(t, done) / (done - t)
+
+    def traffic_metrics(self, outcomes, wall: float, speed=None) -> None:
+        """Latency and rows per second of served traffic; ``speed`` as
+        for ``served_ms``."""
+        for name, q in (("p50_ms", 0.5), ("p99_ms", 0.99)):
+            value = served_ms(outcomes, q, speed)
+            self.e2e[name] = (value, "ms")
         rows = sum(o.rows for o in outcomes if o.status == "ok")
         self.e2e["rows_per_s"] = (rows / wall, "rows/s")
         log(f"{len(outcomes)} requests, {rows} rows in {wall:.3f}s")
+
+
+def served_ms(outcomes, q: float, speed=None) -> float:
+    """The ``q`` quantile of served latency (``loads.window_ms``).  With
+    ``speed`` (reference seconds per wall second), the part beyond the
+    batcher's fixed ``max_wait`` is scaled to the reference host speed;
+    the wait itself is a timer, which runs at any host speed."""
+    value = window_ms(outcomes, q)
+    wait = BatchPolicy().max_wait_s * 1e3
+    if speed is None or value <= wait:
+        return value
+    log(f"p{q * 100:g}: {value:.6g} ms at the host's speed")
+    return wait + (value - wait) * speed
+
+
+def program_times(passes) -> dict[str, float]:
+    """Each program's fast time (see ``core.fast``) over ``passes``."""
+    return {
+        name: fast([p.program_seconds[name] for p in passes])
+        for name in passes[0].program_seconds
+    }
 
 
 def widths(served: dict) -> dict:
@@ -388,48 +443,41 @@ def lanes() -> int:
 # ---------------------------------------------------------------------
 def cold(run: Run, trace: bool) -> None:
     times = []
-    for _ in range(SETUP_REPS):
-        t = time.perf_counter()
-        blob = build_dags(run.progs)
-        times.append(time.perf_counter() - t)
+    for _ in range(COLD_SETUP_REPS):
+        with gc_paused():
+            HOST.tick()
+            t = time.perf_counter()
+            blob = build_dags(run.progs)
+            done = time.perf_counter()
+            HOST.tick()
+            times.append(HOST.scaled(t, done))
     run.e2e["setup_s"] = (median(times), "s")
     config = run.progs[0].spec.config()
     for prog, dag in zip(run.progs, pickle.loads(blob)):
         report = diff_check_dag(dag, config, value_seed=run.seed)
         run.check(report.mismatch is None,
                   f"oracle on {prog.name}: {report.mismatch}")
-    # Latency of each program's cold path (median over the passes),
-    # weighted by its nodes: the wait a unit of work sees, so the
-    # percentiles sit on the large Table-I programs, not on whichever
-    # small program happens to be the median.
-    latencies: dict[str, list[float]] = {}
-    end = time.perf_counter() + run.seconds
-    warm = None
-    while True:
-        t = time.perf_counter()
-        # Warm reloads are slow here; the first pass's are enough.
-        _cache, cold_pass, last = run.cold_and_warm(
-            blob, 0 if warm else COLD_WARM_REPS)
-        for x in cold_pass.loaded:
-            latencies.setdefault(x.prog.name, []).append(x.seconds * 1e3)
-        del _cache, cold_pass
-        warm = warm or last
-        run.sample_sweeps(warm, 2 * SWEEP_SAMPLE_S)
-        # Another pass only while it fits in the measured time.
-        if 2 * time.perf_counter() - t > end:
-            break
+    for _ in range(max(2, math.ceil(run.seconds / COLD_ITER_S))):
+        _cache, _cold, warm = run.cold_and_warm(blob, COLD_WARM_REPS)
+        del _cache, _cold
+        run.sample_sweeps(warm, 3 * SWEEP_SAMPLE_S, rounds=3)
     run.path_metrics()
     run.report_sweeps()
+    # Latency of each program's cold path, weighted by its nodes: the
+    # wait a unit of work sees, so the percentiles sit on the large
+    # Table-I programs, not on whichever small program happens to be
+    # the median.
+    latency = program_times(run.cold_passes)
     nodes = run.static["nodes_by_program"]
-    weighted = [(median(v), nodes[k]) for k, v in latencies.items()]
+    weighted = [(latency[k] * 1e3, nodes[k]) for k in latency]
     run.e2e["p50_ms"] = (weighted_quantile(weighted, 0.5), "ms")
     run.e2e["p99_ms"] = (weighted_quantile(weighted, 0.99), "ms")
     run.e2e["rows_per_s"] = (
-        BATCH * len(run.progs)
-        / median(p.seconds for p in run.cold_passes), "rows/s")
+        BATCH * len(run.progs) / sum(latency.values()), "rows/s")
     if trace:
         def main(_cache, _warm):
-            return run.static["nodes"] / run.cold_passes[-1].seconds
+            traced = run.cold_passes[-1].program_seconds
+            return run.static["nodes"] / sum(traced.values())
 
         run.trace_section(
             main, [run.engine_probe, run.serve_probe, run.http_probe],
@@ -442,23 +490,36 @@ def batch(run: Run, trace: bool) -> None:
     run.path_metrics()
 
     def measure(warm, seconds):
-        times = time_sweeps(warm.loaded, seconds, run.spans)
-        flat = [t * 1e3 for case in times for inst in case for t in inst]
+        """Sweeps of every program for ``seconds``; returns the rates
+        by class and, for the run's windows (one round over every
+        case and simulator each), the fast quartiles of their sweep
+        latency p50 and p99 and of their rows per second."""
+        rounds = max(8, int(seconds / BATCH_WINDOW_S))
+        times = time_sweeps(warm.loaded, seconds, run.spans, rounds=rounds)
         rates = {x.prog.kind: [] for x in warm.loaded}
         for x, case in zip(warm.loaded, times):
-            rates[x.prog.kind].append(rows_per_s(case))
-        return rates, flat, BATCH * len(flat) / (sum(flat) / 1e3)
+            rates[x.prog.kind].append(rows_per_s(round_medians(case)))
+        windows = [
+            [t * 1e3 for case in times for inst in case for t in inst[r]]
+            for r in range(rounds)
+        ]
+        log(f"{sum(map(len, windows))} sweeps of {BATCH} rows")
+        return (
+            rates,
+            fast([quantile(w, 0.5) for w in windows]),
+            fast([quantile(w, 0.99) for w in windows]),
+            BATCH * 1e3 / fast([sum(w) / len(w) for w in windows]),
+        )
 
-    rates, flat, total = measure(warm, run.seconds)
+    rates, p50, p99, total = measure(warm, run.seconds)
     run.e2e["deep_rows_per_s"] = (geomean(rates["deep"]), "rows/s")
     run.e2e["wide_rows_per_s"] = (geomean(rates["wide"]), "rows/s")
-    run.e2e["p50_ms"] = (quantile(flat, 0.5), "ms")
-    run.e2e["p99_ms"] = (quantile(flat, 0.99), "ms")
+    run.e2e["p50_ms"] = (p50, "ms")
+    run.e2e["p99_ms"] = (p99, "ms")
     run.e2e["rows_per_s"] = (total, "rows/s")
-    log(f"{len(flat)} sweeps of {BATCH} rows")
     if trace:
         run.trace_section(
-            lambda _c, w: measure(w, run.seconds)[2],
+            lambda _c, w: measure(w, run.seconds)[3],
             [run.engine_probe, run.serve_probe, run.http_probe],
             "rows_per_s")
 
@@ -471,20 +532,19 @@ def serve(run: Run, trace: bool) -> None:
     run.check_served(gate, served, None)
     run.sample_sweeps(warm)
     gc.collect()
-    outcomes, wall = asyncio.run(run.open_loop(served, run.seconds, 2))
+    outcomes, wall, speed = run.serve_traffic(served, run.seconds, 2)
     run.check_served(outcomes, served, None)
-    run.traffic_metrics(outcomes, wall)
+    run.traffic_metrics(outcomes, wall, speed)
     run.sample_sweeps(warm)
     run.report_sweeps()
     if trace:
         def main(cache, _warm):
             traced_served = run.served(cache)
-            outs, _ = asyncio.run(
-                run.open_loop(traced_served, run.seconds, 2))
+            outs, _, speed = run.serve_traffic(
+                traced_served, run.seconds, 2)
             run.check_served(outs, traced_served, None)
             run.layer.update(serve_layer_metrics(outs))
-            return quantile(
-                [o.latency_s * 1e3 for o in outs if o.status == "ok"], 0.5)
+            return served_ms(outs, 0.5, speed)
 
         run.trace_section(main, [run.engine_probe, run.http_probe], "p50_ms")
 

@@ -7,6 +7,8 @@ under test runs exactly the code a user runs.
 
 from __future__ import annotations
 
+import bisect
+import gc
 import hashlib
 import heapq
 import json
@@ -19,6 +21,8 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from repro.runner.cache import ArtifactCache
 
@@ -191,6 +195,103 @@ def weighted_quantile(pairs, q: float) -> float:
 
 def median(values) -> float:
     return statistics.median(values)
+
+
+@contextmanager
+def gc_paused():
+    """Collect cyclic garbage, then keep the collector off until the
+    block ends, as ``timeit`` does.  In a benchmark process a full
+    collection scans every artifact the benchmark holds, takes up to
+    half a second, and lands on whichever program happens to run."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def fast(times) -> float:
+    """The fast quartile (0.25 quantile) of repeated timings of the
+    same work, taken over windows spread across the run.
+
+    The host is shared: in spells of one to a few seconds, at any time
+    and for any share of a run, the same work takes up to 1.6x longer.
+    A median over a run moves with that share; the fast quartile reads
+    the work's own cost outside the spells, as long as they cover less
+    than three quarters of the run.
+    """
+    return quantile(times, 0.25)
+
+
+class HostSpeed:
+    """How fast the host runs right now, from a fixed probe kernel
+    timed next to the work, so that times can be scaled to one speed.
+
+    The host is shared, and its speed wanders: for tens of seconds at
+    a time the same work runs up to 1.4x slower, by the CPU time the
+    process gets as much as by the wall clock, so neither a longer run
+    nor a robust statistic inside one removes it.  The probe does
+    what the stack does, interpreter dispatch and a numpy gather from
+    a few MB, and never touches the program under test, so a change
+    to the program cannot move it.  ``scaled`` turns a measured
+    interval into the time it would have taken at the reference speed
+    ``REF_S``: the probe's time on the reference host (2-vCPU x86_64
+    VM) at its quiet times.
+    """
+
+    #: Probe seconds at the reference speed.
+    REF_S = 0.6e-3
+    #: Least seconds between two probes.
+    EVERY_S = 0.25
+    #: Probes within this many seconds of an interval describe it (one
+    #: probe alone is noisy).
+    NEAR_S = 0.75
+
+    def __init__(self) -> None:
+        rng = np.random.default_rng(0)
+        self._table = rng.random(1 << 19)  # 4 MiB
+        self._index = rng.integers(0, 1 << 19, 1 << 16)
+        self._keys = [f"k{i}" for i in range(64)]
+        self.at: list[float] = []
+        self.took: list[float] = []
+
+    def _kernel(self) -> float:
+        counts = dict.fromkeys(self._keys, 0)
+        for i in range(4000):
+            counts[self._keys[i & 63]] += i
+        return float(self._table[self._index].sum()) + counts["k0"]
+
+    def tick(self) -> None:
+        """Probe the host, unless it was probed less than ``EVERY_S``
+        ago.  Call it before and after every timed interval."""
+        now = time.perf_counter()
+        if self.at and now - self.at[-1] < self.EVERY_S:
+            return
+        runs = []
+        for _ in range(5):
+            t = time.perf_counter()
+            self._kernel()
+            runs.append(time.perf_counter() - t)
+        self.at.append(time.perf_counter())
+        self.took.append(statistics.median(runs))
+
+    def scaled(self, t0: float, t1: float) -> float:
+        """``t1 - t0`` at the reference speed, from the probes taken
+        during the interval or within ``NEAR_S`` of it."""
+        lo = bisect.bisect_left(self.at, t0 - self.NEAR_S)
+        hi = bisect.bisect_right(self.at, t1 + self.NEAR_S)
+        took = self.took[lo:hi]
+        if not took:
+            if not self.at:
+                raise RuntimeError("the host was never probed")
+            i = min(max(bisect.bisect_left(self.at, t0), 0), len(self.at) - 1)
+            took = [self.took[i]]
+        return (t1 - t0) * self.REF_S / statistics.median(took)
+
+
+#: The one host-speed probe of a benchmark process.
+HOST = HostSpeed()
 
 
 def geomean(values) -> float:

@@ -23,7 +23,7 @@ from repro.serve.http import HttpClient, parse_infer_body
 from repro.serve.loadtest import request_inputs
 from repro.workloads.traffic import multi_tenant
 
-from core import ROOT, Spans, median, quantile
+from core import ROOT, Spans, fast, quantile
 from stack import same_bits
 
 #: Offered load of the open loop: well below the knee on a 2-CPU host,
@@ -176,21 +176,24 @@ def expected_matches(outcomes: list[Outcome], served: dict, rows) -> int:
     return bad
 
 
-def tail_ms(outcomes: list[Outcome], per_window: int = 1000) -> float:
-    """p99 latency of ok requests: the median over consecutive windows
-    of ``per_window`` requests (in send order) of each window's p99, so
-    one stall of the host moves one window, not the whole figure.  With
-    fewer than two windows' worth it is the plain p99."""
+def window_ms(outcomes: list[Outcome], q: float,
+              per_window: int = 1000) -> float:
+    """The ``q`` quantile of ok latencies, read per window of
+    ``per_window`` consecutive requests (in send order; 1000 leaves ten
+    requests beyond a p99): the fast quartile of the windows' values
+    (see ``core.fast``), so a slow spell of the host moves the windows
+    it falls in, not the figure.  With fewer than two windows' worth
+    it is the plain quantile."""
     ok = sorted((o.at_s, o.latency_s * 1e3) for o in outcomes
                 if o.status == "ok")
     lat = [v for _, v in ok]
     windows = len(lat) // per_window
     if windows < 2:
-        return quantile(lat, 0.99)
-    return median(
-        quantile(lat[i * per_window:(i + 1) * per_window], 0.99)
+        return quantile(lat, q)
+    return fast([
+        quantile(lat[i * per_window:(i + 1) * per_window], q)
         for i in range(windows)
-    )
+    ])
 
 
 def serve_layer_metrics(outcomes: list[Outcome]) -> dict:

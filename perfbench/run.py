@@ -4,8 +4,8 @@ the HTTP front end.
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload cold --seed 1 --seconds 10 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 10 --trace 1
+    python3 perfbench/run.py --workload cold --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 15 --trace 1
 
 ``--trace 0`` reports the end-to-end metrics, ``--trace 1`` the
 per-layer ones (a separate traced run).  Every metric is printed by
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seconds <= 0:

@@ -23,7 +23,7 @@ from repro.sim.batch import BatchSimulator
 from repro.workloads.suite import DEFAULT_SCALE, SYNTH_SUITE, workload_names
 from repro.workloads.synth import SynthParams
 
-from core import STATE_DIR, Spans, TimedCache
+from core import HOST, STATE_DIR, Spans, TimedCache, fast
 
 #: Rows per sweep, the batch the issue's throughput figures use.
 BATCH = 256
@@ -131,6 +131,9 @@ class Pass:
     start_ns: int
     end_ns: int
     compile_steps: dict = field(default_factory=dict)
+    #: Each program's time through the path; kept when the pass's
+    #: artifacts are dropped.
+    program_seconds: dict = field(default_factory=dict)
 
     @property
     def nodes(self) -> int:
@@ -158,6 +161,8 @@ def run_pass(
 ) -> Pass:
     """``cached_compile`` -> ``cached_plan`` -> ``cached_fused_plan`` ->
     first ``BatchSimulator.run`` for every program, through ``cache``.
+    Each program's time is scaled to the reference host speed
+    (``core.HostSpeed``); the pass's own ``seconds`` is the wall time.
     """
     with spans.span("workloads"):
         dags = pickle.loads(dags_blob)
@@ -168,6 +173,7 @@ def run_pass(
     start_ns = time.perf_counter_ns()
     for i, (prog, dag) in enumerate(zip(progs, dags)):
         config = prog.spec.config()
+        HOST.tick()
         t = time.perf_counter()
         with spans.span("compiler"):
             result = cached_compile(dag, config, cache=cache)
@@ -179,7 +185,9 @@ def run_pass(
         with spans.span("sim.batch"):
             sim = BatchSimulator(plan, engine="auto", fused_plan=fused)
             outputs = sim.run(inputs).outputs
-        seconds = time.perf_counter() - t
+        done = time.perf_counter()
+        HOST.tick()
+        seconds = HOST.scaled(t, done)
         for step, s in result.stats.step_seconds.items():
             steps[step] = steps.get(step, 0.0) + s
         steps["compile"] = steps.get("compile", 0.0) + (
@@ -200,6 +208,7 @@ def run_pass(
         start_ns=start_ns,
         end_ns=time.perf_counter_ns(),
         compile_steps=steps,
+        program_seconds={x.prog.name: x.seconds for x in loaded},
     )
 
 
@@ -252,16 +261,20 @@ def plan_image_bytes(plans) -> int:
 
 def time_sweeps(
     cases: list[Loaded], seconds: float, spans: Spans,
-    engine: str = "auto", instances: int = 4, rounds: int = 8,
-) -> list[list[list[float]]]:
-    """Steady-state sweeps for ``seconds``: ``times[case][instance]``.
+    engine: str = "auto", instances: int = 5, rounds: int = 8,
+) -> list[list[list[list[float]]]]:
+    """Steady-state sweeps for ``seconds``:
+    ``times[case][instance][round]`` is one block of sweep times.
 
     A sweep's speed depends on where its state happens to sit in
-    memory, which differs from one simulator to the next by up to a
-    fifth, so every case is swept on ``instances`` simulators alive at
-    once (distinct allocations).  Each sweeps back to back in a block
-    (warm host caches, as under sustained load), and the blocks rotate
-    ``rounds`` times so drift in the host spreads over every case.
+    memory: in one process, typically one simulator in four or five
+    sweeps every program a fifth faster than the others.  So every
+    case is swept on ``instances`` simulators alive at once (distinct
+    allocations), and the median over them is reported.  Each sweeps
+    back to back in a block (warm host caches, as under sustained
+    load), and the blocks rotate ``rounds`` times so the host's slow
+    spells fall on every case.  Times are scaled to the reference host
+    speed (``core.HostSpeed``), block by block.
     """
     sims = [
         [BatchSimulator(x.plan, engine=engine, fused_plan=x.fused)
@@ -275,8 +288,11 @@ def time_sweeps(
     block = seconds / (rounds * len(cases) * instances)
     for _ in range(rounds):
         for x, group, per_case in zip(cases, sims, times):
-            for sim, out in zip(group, per_case):
-                end = time.perf_counter() + block
+            for sim, per_inst in zip(group, per_case):
+                out = []
+                HOST.tick()
+                start = time.perf_counter()
+                end = start + block
                 while True:
                     token = spans.begin("sim.batch")
                     t = time.perf_counter()
@@ -286,14 +302,25 @@ def time_sweeps(
                     out.append(done - t)
                     if done >= end:
                         break
+                HOST.tick()
+                scale = HOST.scaled(start, done) / (done - start)
+                per_inst.append([t * scale for t in out])
     return times
 
 
-def rows_per_s(per_instance: list[list[float]]) -> float:
-    """Rows per second of one case: the median over simulators of
-    each simulator's median sweep."""
-    return BATCH / statistics.median(
-        statistics.median(t) for t in per_instance)
+def round_medians(case: list[list[list[float]]]) -> list[float]:
+    """One sweep time of one case per round: the median over its
+    simulators of each one's median sweep in that round."""
+    return [
+        statistics.median(statistics.median(inst[r]) for inst in case)
+        for r in range(len(case[0]))
+    ]
+
+
+def rows_per_s(rounds: list[float]) -> float:
+    """Rows per second of one case from its sweep time per round: the
+    fast quartile of the rounds (see ``core.fast``)."""
+    return BATCH / fast(rounds)
 
 
 def engine_outputs(loaded: Loaded) -> dict[str, dict]:
