@@ -37,7 +37,8 @@ Mirrors the paper artifact's ``run.sh`` workflow:
   directly;
 * ``profile``  — span-level profile of one workload: per-pass compile
   times, plan lowering, fused/codegen kernel timings and the batch
-  sweep, aggregated into a table.
+  sweep, aggregated into a table with inclusive (``% wall``) and
+  self (``% self``, children excluded) time per span name.
 
 The evaluation commands (``run``, ``suite``, ``dse``, ``sweep``,
 ``all``) share ``--cache-dir``/``--no-cache``: compiled programs and
@@ -1142,13 +1143,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
     wall_us = max(
         (e["dur"] for e in events if e["name"] == "profile"), default=0
     )
+    self_us = trace.self_times(events)
     agg: dict[str, list] = {}
     for e in events:
         if e["name"] == "profile":
             continue
-        slot = agg.setdefault(e["name"], [e["cat"], 0, 0])
+        slot = agg.setdefault(e["name"], [e["cat"], 0, 0, 0])
         slot[1] += 1
         slot[2] += e["dur"]
+        slot[3] += self_us[e["id"]]
+
+    def pct(us: int) -> float:
+        return round(100 * us / wall_us, 1) if wall_us else 0.0
+
     rows = [
         (
             name,
@@ -1156,15 +1163,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
             count,
             round(total / 1e3, 3),
             round(total / count / 1e3, 3),
-            round(100 * total / wall_us, 1) if wall_us else 0.0,
+            pct(total),
+            round(own / 1e3, 3),
+            pct(own),
         )
-        for name, (cat, count, total) in sorted(
+        for name, (cat, count, total, own) in sorted(
             agg.items(), key=lambda kv: -kv[1][2]
         )
     ]
     print(
         format_table(
-            ["span", "cat", "count", "total ms", "mean ms", "% wall"],
+            [
+                "span", "cat", "count", "total ms", "mean ms", "% wall",
+                "self ms", "% self",
+            ],
             rows,
             title=(
                 f"{dag.name} @ {config}: profile over a "

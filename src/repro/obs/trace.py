@@ -50,6 +50,7 @@ __all__ = [
     "is_on",
     "merge_task_result",
     "sampled_span",
+    "self_times",
     "set_sample_every",
     "should_sample",
     "snapshot",
@@ -386,6 +387,22 @@ def drain() -> list[dict]:
         events.extend(ring.take())
     events.sort(key=lambda e: (e["ts"], e["id"]))
     return events
+
+
+def self_times(events: list[dict]) -> dict[str, int]:
+    """Self time (µs) of every span, by span id: its duration minus
+    its direct children's, floored at zero (children running on other
+    threads may overlap each other).  Summed over all spans below a
+    root, self times never exceed the root's duration, so unlike
+    inclusive time they attribute wall time without double counting.
+    """
+    child_us: dict[str, int] = {}
+    for e in events:
+        if e.get("parent"):
+            child_us[e["parent"]] = child_us.get(e["parent"], 0) + e["dur"]
+    return {
+        e["id"]: max(0, e["dur"] - child_us.get(e["id"], 0)) for e in events
+    }
 
 
 def ingest(events: list[dict]) -> None:

@@ -52,12 +52,7 @@ from ..runner.fingerprint import (
     config_fingerprint,
     dag_fingerprint,
 )
-from ..sim import (
-    AUTO_FUSED_CELL_CAP,
-    ENGINES,
-    BatchSimulator,
-    estimated_fused_cells,
-)
+from ..sim import ENGINES, BatchSimulator, resolve_engine
 from ..workloads import DEFAULT_SCALE, SynthParams, build_workload
 from ..workloads.suite import _BY_NAME as _SUITE_NAMES
 
@@ -309,16 +304,10 @@ def build_served_program(spec: ProgramSpec) -> ServedProgram:
         )
     result = cached_compile(dag, config, seed=spec.seed)
     plan = cached_plan(result)
-    # Resolve "auto" here (same rule as BatchSimulator) so the fused
+    # Resolve "auto" here, as BatchSimulator would, so the fused
     # lowering goes through the artifact cache: a warm disk cache
     # registers fused programs without re-fusing.
-    engine = spec.engine
-    if engine == "auto":
-        engine = (
-            "fused"
-            if estimated_fused_cells(plan) <= AUTO_FUSED_CELL_CAP
-            else "step"
-        )
+    engine = resolve_engine(plan, spec.engine)
     fused = (
         cached_fused_plan(result) if engine in ("fused", "codegen") else None
     )

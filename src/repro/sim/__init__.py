@@ -14,6 +14,7 @@ from .batch import (
     ENGINES,
     BatchResult,
     BatchSimulator,
+    resolve_engine,
     run_batch,
 )
 from .fused import (
@@ -54,6 +55,7 @@ __all__ = [
     "BatchSimulator",
     "BatchResult",
     "run_batch",
+    "resolve_engine",
     "ENGINES",
     "AUTO_FUSED_CELL_CAP",
     "FusedPlan",

@@ -28,40 +28,46 @@ from .functional import ActivityCounters
 def count_activity(
     program: Program, interconnect: Interconnect | None = None
 ) -> ActivityCounters:
-    """Derive activity counters from the instruction stream alone."""
+    """Derive activity counters from the instruction stream alone.
+
+    One pass dispatching on the exact instruction type; PE and port
+    activity is counted with ``tuple.count`` rather than per element.
+    """
     config = program.config
     inter = interconnect or Interconnect(config)
     widths = instruction_widths(config, inter)
     counters = ActivityCounters()
-    total_bits = 0
     for instr in program.instructions:
-        counters.instructions += 1
-        total_bits += widths.of(instr.mnemonic)
-        if isinstance(instr, NopInstr):
-            counters.nops += 1
-        elif isinstance(instr, ExecInstr):
+        kind = type(instr)
+        if kind is ExecInstr:
+            ops = instr.pe_ops
+            ports = instr.port_source
             counters.exec_count += 1
             counters.bank_reads += len(instr.bank_reads)
-            counters.crossbar_transfers += sum(
-                1 for src in instr.port_source if src is not None
+            counters.crossbar_transfers += len(ports) - ports.count(None)
+            counters.pe_ops += ops.count(PEOp.ADD) + ops.count(PEOp.MUL)
+            counters.pe_passes += (
+                ops.count(PEOp.PASS_A) + ops.count(PEOp.PASS_B)
             )
-            for op in instr.pe_ops:
-                if op.is_arithmetic:
-                    counters.pe_ops += 1
-                elif op in (PEOp.PASS_A, PEOp.PASS_B):
-                    counters.pe_passes += 1
             counters.bank_writes += len(instr.writes)
-        elif isinstance(instr, CopyInstr):
+        elif kind is NopInstr:
+            counters.nops += 1
+        elif kind is CopyInstr:
             counters.bank_reads += len(instr.moves)
             counters.bank_writes += len(instr.moves)
             counters.crossbar_transfers += len(instr.moves)
-        elif isinstance(instr, LoadInstr):
+        elif kind is LoadInstr:
             counters.dmem_reads += 1
             counters.bank_writes += len(instr.dests)
-        elif isinstance(instr, StoreInstr):
+        elif kind is StoreInstr:
             counters.dmem_writes += 1
             counters.bank_reads += len(instr.slots)
+    counters.instructions = len(program.instructions)
     counters.cycles = len(program.instructions) + config.pipeline_stages
+    total_bits = sum(
+        widths.of(mnemonic) * count
+        for mnemonic, count in program.count_by_mnemonic().items()
+    )
     fetches = -(-total_bits // widths.il)
     counters.instr_bits_fetched = fetches * widths.il
     return counters

@@ -81,6 +81,18 @@ AUTO_FUSED_CELL_CAP = 1 << 16
 BOUND_SWEEP_CAP = 8
 
 
+def resolve_engine(plan: ExecutionPlan, engine: str) -> str:
+    """The engine that runs ``plan`` when ``engine`` is requested:
+    ``"auto"`` becomes ``"fused"`` when the fused state fits
+    :data:`AUTO_FUSED_CELL_CAP` cells, else ``"step"``; any other
+    engine is returned unchanged."""
+    if engine != "auto":
+        return engine
+    if estimated_fused_cells(plan) <= AUTO_FUSED_CELL_CAP:
+        return "fused"
+    return "step"
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """Outcome of one batched execution.
@@ -164,12 +176,7 @@ class BatchSimulator:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        if engine == "auto":
-            engine = (
-                "fused"
-                if estimated_fused_cells(self.plan) <= AUTO_FUSED_CELL_CAP
-                else "step"
-            )
+        engine = resolve_engine(self.plan, engine)
         self.engine = engine
         self._fused: FusedPlan | None = None
         self._bind_factory: Callable | None = None

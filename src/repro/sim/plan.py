@@ -10,8 +10,9 @@ where.  All of the architectural verification the scalar simulator
 performs on *every* run happens here exactly once:
 
 * hazard discipline — reads are replayed against the reserve/commit/
-  release register-file model with the real pipeline timing, so a read
-  of in-flight data raises :class:`~repro.errors.HazardError`;
+  release register-file protocol with the real pipeline timing: a read
+  of a var that is not resident raises :class:`~repro.errors.HazardError`,
+  a read of one still in flight :class:`~repro.errors.RegisterFileError`;
 * the compiler's read-address predictions are checked against the
   priority encoder (when provided);
 * output-interconnect write legality, crossbar port sourcing, copy
@@ -40,6 +41,20 @@ destination cell at *issue* time instead of ``D+1`` cycles later: the
 destination register was free when reserved and no verified read can
 touch it before the data would have arrived.  That is what collapses
 the pipelined machine into a simple sequential tape.
+
+Table-driven lowering
+---------------------
+Lowering is one pass over the instruction stream, and everything that
+does not change from one instruction to the next is tabulated before
+it starts (see :class:`_Lowerer`): each PE's operand slots and tree
+layer, and the PEs each bank is writable from.  The register file is
+replayed on flat per-bank lists, where the priority encoder and the
+read lookup are each one ``list.index`` call.  This replay is the
+lowerer's own: it shares no code with the scalar simulator in
+:mod:`repro.sim.functional`, so the scalar-vs-batch cross-check
+compares two independent replays.  Move overlap tests (a step's
+``disjoint`` flag, :func:`coalesce_moves`) are set-disjointness checks
+on the few cells a move touches.
 """
 
 from __future__ import annotations
@@ -56,18 +71,25 @@ from ..arch import (
     NopInstr,
     PEOp,
     Program,
-    RegisterFile,
+    RegState,
     StoreInstr,
 )
-from ..errors import HazardError, SimulationError
+from ..errors import HazardError, RegisterFileError, SimulationError
 from .activity import count_activity
 from .functional import ActivityCounters
 
 _IDX = np.int32
 
+_IDLE, _ADD, _PASS_A, _PASS_B = PEOp.IDLE, PEOp.ADD, PEOp.PASS_A, PEOp.PASS_B
+
+
+#: Shared by every empty index vector of a tape (read-only).
+_EMPTY = np.empty(0, dtype=_IDX)
+_EMPTY.setflags(write=False)
+
 
 def _arr(values: list[int]) -> np.ndarray:
-    return np.asarray(values, dtype=_IDX)
+    return np.asarray(values, dtype=_IDX) if values else _EMPTY
 
 
 def contiguous_slice(idx: np.ndarray) -> tuple[int, int] | None:
@@ -118,7 +140,7 @@ class MoveStep:
         object.__setattr__(
             self,
             "disjoint",
-            not bool(np.isin(self.src, self.dst).any()),
+            set(self.src.tolist()).isdisjoint(self.dst.tolist()),
         )
 
 
@@ -157,20 +179,40 @@ def coalesce_moves(steps: list[Step]) -> list[Step]:
     even on the unfused engine.
     """
     out: list[Step] = []
+    run: list[MoveStep] = []  # moves merging into one
+    written: set[int] = set()  # cells the run writes
     for step in steps:
-        if out and type(step) is MoveStep and type(out[-1]) is MoveStep:
-            prev = out[-1]
+        if type(step) is MoveStep:
+            dst = step.dst.tolist()
             if (
-                not np.isin(step.src, prev.dst).any()
-                and not np.isin(step.dst, prev.dst).any()
+                run
+                and written.isdisjoint(step.src.tolist())
+                and written.isdisjoint(dst)
             ):
-                out[-1] = MoveStep(
-                    np.concatenate([prev.src, step.src]),
-                    np.concatenate([prev.dst, step.dst]),
-                )
+                run.append(step)
+                written.update(dst)
                 continue
-        out.append(step)
+            _flush_run(run, out)
+            run = [step]
+            written = set(dst)
+        else:
+            _flush_run(run, out)
+            run = []
+            out.append(step)
+    _flush_run(run, out)
     return out
+
+
+def _flush_run(run: list[MoveStep], out: list[Step]) -> None:
+    if len(run) == 1:
+        out.append(run[0])
+    elif run:
+        out.append(
+            MoveStep(
+                np.concatenate([m.src for m in run]),
+                np.concatenate([m.dst for m in run]),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -219,7 +261,19 @@ class ExecutionPlan:
 
 
 class _Lowerer:
-    """Replays a program symbolically, emitting the execution tape."""
+    """Replays a program symbolically, emitting the execution tape.
+
+    Table-driven.  Everything that depends only on the architecture
+    point is tabulated once per lowering in ``__init__``: each PE's
+    operand slots and tree layer (:attr:`pe_table`) and the PEs each
+    bank is writable from (:attr:`writers`).  The register file is
+    replayed on two flat lists per bank — the state and the variable
+    of every address, ``None`` when free — so the priority encoder is
+    ``list.index(None)`` and a read lookup is ``list.index(var)``, the
+    same lowest-address rules as :class:`~repro.arch.RegisterBank`.
+    Pending commits are bucketed by the cycle they land in.  Lowering
+    an instruction is thus list lookups and appends plus the checks.
+    """
 
     def __init__(
         self,
@@ -227,23 +281,43 @@ class _Lowerer:
         interconnect: Interconnect | None,
         check_addresses: list[dict[int, int]] | None,
     ) -> None:
+        cfg = program.config
         self.program = program
-        self.cfg = program.config
-        self.inter = interconnect or Interconnect(self.cfg)
+        self.cfg = cfg
+        self.inter = interconnect or Interconnect(cfg)
         self.check_addresses = check_addresses
-        self.regfile = RegisterFile(self.cfg)
         self.rows = max(program.num_data_rows, 1)
-        self.mem_tags = [[-1] * self.cfg.banks for _ in range(self.rows)]
-        self.reg_cells = self.cfg.banks * self.cfg.regs_per_bank
-        self.scratch_base = self.reg_cells + self.rows * self.cfg.banks
+        self.mem_tags = [[-1] * cfg.banks for _ in range(self.rows)]
+        self.reg_cells = cfg.banks * cfg.regs_per_bank
+        self.scratch_base = self.reg_cells + self.rows * cfg.banks
+        #: Per PE: ``(a_slot, b_slot, layer)``.  Slots index an exec's
+        #: operand values — input ports at ``[0, banks)``, PE outputs
+        #: at ``banks + pe`` — and ``layer`` is 0-based.
+        self.pe_table: list[tuple[int, int, int]] = []
+        for pe in range(cfg.num_pes):
+            slots = [
+                src if from_port else cfg.banks + src
+                for from_port, src in cfg.pe_operand_sources(pe)
+            ]
+            self.pe_table.append((*slots, cfg.pe_layer(pe) - 1))
+        #: Per bank: the PEs the output interconnect lets write it.
+        self.writers: list[frozenset[int]] = [
+            frozenset(self.inter.pes_writing_to(bank))
+            for bank in range(cfg.banks)
+        ]
+        # The replayed register file: per bank, per address.
+        regs = cfg.regs_per_bank
+        self.reg_state = [[RegState.FREE] * regs for _ in range(cfg.banks)]
+        self.reg_var: list[list[int | None]] = [
+            [None] * regs for _ in range(cfg.banks)
+        ]
+        self.occupancy = [0] * cfg.banks
+        self.peak_occupancy = [0] * cfg.banks
+        # In-flight reservations by commit cycle: [(bank, addr, var)].
+        self.pending: dict[int, list[tuple[int, int, int]]] = {}
         self.steps: list[Step] = []
-        # In-flight reservations: (commit_cycle, bank, addr, var).
-        self.pending: list[tuple[int, int, int, int]] = []
 
     # -- cell arithmetic ----------------------------------------------
-    def reg_cell(self, bank: int, addr: int) -> int:
-        return bank * self.cfg.regs_per_bank + addr
-
     def mem_cell(self, row: int, lane: int) -> int:
         if not 0 <= row < self.rows:
             raise SimulationError(
@@ -257,61 +331,92 @@ class _Lowerer:
     ) -> int:
         """Resolve a read to a state cell, with the scalar sim's checks."""
         try:
-            addr = self.regfile[bank].addr_of(var)
-        except Exception as exc:
+            bank_vars = self.reg_var[bank]
+        except IndexError as exc:
             raise HazardError(
                 f"read of var {var} from bank {bank}: {exc}"
             ) from exc
+        try:
+            addr = bank_vars.index(var)
+        except ValueError:
+            raise HazardError(
+                f"read of var {var} from bank {bank}: "
+                f"bank {bank}: var {var} not resident"
+            ) from None
         if predicted is not None and predicted != addr:
             raise SimulationError(
                 f"compiler predicted addr {predicted} for var {var} "
                 f"in bank {bank}, hardware chose {addr}"
             )
-        got_var, _ = self.regfile[bank].read(addr)
-        if got_var != var:
-            raise SimulationError(
-                f"bank {bank} addr {addr} holds var {got_var}, "
-                f"expected {var}"
+        states = self.reg_state[bank]
+        if states[addr] is not RegState.VALID:
+            raise RegisterFileError(
+                f"bank {bank} addr {addr}: read of "
+                f"{states[addr].name} register (RAW hazard or compiler bug)"
             )
         if rst:
-            self.regfile[bank].release(addr)
-        return self.reg_cell(bank, addr)
+            states[addr] = RegState.FREE
+            bank_vars[addr] = None
+            self.occupancy[bank] -= 1
+        return bank * self.cfg.regs_per_bank + addr
 
-    def _reserve(self, cycle: int, latency: int, bank: int, var: int) -> int:
-        addr = self.regfile[bank].reserve(var)
-        self.pending.append((cycle + latency, bank, addr, var))
-        return self.reg_cell(bank, addr)
+    def _reserve(self, commit_cycle: int, bank: int, var: int) -> int:
+        bank_vars = self.reg_var[bank]
+        try:
+            addr = bank_vars.index(None)
+        except ValueError:
+            raise RegisterFileError(
+                f"bank {bank} overflow: all {len(bank_vars)} registers busy"
+            ) from None
+        bank_vars[addr] = var
+        self.reg_state[bank][addr] = RegState.RESERVED
+        occupancy = self.occupancy[bank] + 1
+        self.occupancy[bank] = occupancy
+        if occupancy > self.peak_occupancy[bank]:
+            self.peak_occupancy[bank] = occupancy
+        self.pending.setdefault(commit_cycle, []).append((bank, addr, var))
+        return bank * self.cfg.regs_per_bank + addr
 
-    def _retire(self, cycle: int) -> None:
-        still = []
-        for item in self.pending:
-            if item[0] <= cycle:
-                _, bank, addr, var = item
-                self.regfile[bank].commit(addr, var, 0.0)
-            else:
-                still.append(item)
-        self.pending = still
+    def _commit(self, landed: list[tuple[int, int, int]]) -> None:
+        for bank, addr, var in landed:
+            states = self.reg_state[bank]
+            if states[addr] is not RegState.RESERVED:
+                raise RegisterFileError(
+                    f"bank {bank} addr {addr}: commit to "
+                    f"{states[addr].name} register"
+                )
+            held = self.reg_var[bank][addr]
+            if held != var:
+                raise RegisterFileError(
+                    f"bank {bank} addr {addr}: committing var {var} "
+                    f"into reservation for var {held}"
+                )
+            states[addr] = RegState.VALID
 
     # -- per-instruction lowering -------------------------------------
     def lower(self, coalesce: bool = True) -> ExecutionPlan:
         program = self.program
+        pending = self.pending
         input_cells, input_slots = self._populate_inputs()
         for cycle, instr in enumerate(program.instructions):
-            self._retire(cycle)
-            if isinstance(instr, NopInstr):
-                continue
-            if isinstance(instr, ExecInstr):
+            landed = pending.pop(cycle, None)
+            if landed:
+                self._commit(landed)
+            kind = type(instr)
+            if kind is ExecInstr:
                 self._exec(instr, cycle)
-            elif isinstance(instr, CopyInstr):
+            elif kind is NopInstr:
+                continue
+            elif kind is CopyInstr:
                 self._copy(instr, cycle)
-            elif isinstance(instr, LoadInstr):
+            elif kind is LoadInstr:
                 self._load(instr, cycle)
-            elif isinstance(instr, StoreInstr):
+            elif kind is StoreInstr:
                 self._store(instr)
             else:  # pragma: no cover - exhaustive
                 raise SimulationError(f"unknown instruction {instr!r}")
-        for _, bank, addr, var in sorted(self.pending):
-            self.regfile[bank].commit(addr, var, 0.0)
+        for cycle in sorted(pending):
+            self._commit(sorted(pending[cycle]))
 
         output_vars: list[int] = []
         output_cells: list[int] = []
@@ -343,9 +448,7 @@ class _Lowerer:
             output_vars=tuple(output_vars),
             output_cells=_arr(output_cells),
             counters=count_activity(program, self.inter),
-            peak_occupancy=[
-                b.peak_occupancy for b in self.regfile.banks
-            ],
+            peak_occupancy=list(self.peak_occupancy),
         )
 
     def _populate_inputs(self) -> tuple[list[int], list[int]]:
@@ -363,52 +466,53 @@ class _Lowerer:
         return cells, slots
 
     def _exec(self, instr: ExecInstr, cycle: int) -> None:
-        cfg = self.cfg
+        banks = self.cfg.banks
         predicted = (
             self.check_addresses[cycle] if self.check_addresses else None
         )
+        rst = instr.valid_rst
         bank_cell: dict[int, int] = {}
         for bank, var in instr.bank_reads:
             bank_cell[bank] = self._read_cell(
-                bank, var, bank in instr.valid_rst,
+                bank, var, bank in rst,
                 predicted.get(bank) if predicted else None,
             )
-        port_cell: list[int | None] = [None] * cfg.banks
+        # Operand values by slot (see pe_table): ports, then PE outputs.
+        vals: list[int | None] = [None] * banks
         for port, src in enumerate(instr.port_source):
             if src is not None:
                 if src not in bank_cell:
                     raise SimulationError(
                         f"port {port} sources bank {src} which is not read"
                     )
-                port_cell[port] = bank_cell[src]
+                vals[port] = bank_cell[src]
+        vals += [None] * len(self.pe_table)
 
-        # Evaluate the PE trees symbolically, layer by layer.
-        produced: list[int | None] = [None] * cfg.num_pes
-        layers: dict[int, dict[str, list[int]]] = {}
-        for pe in range(cfg.num_pes):
-            op = instr.pe_ops[pe]
-            if op is PEOp.IDLE:
+        # Evaluate the PE trees symbolically.  PE ids run layer by
+        # layer within a tree, so operands are produced before use.
+        # Each layer collects (add_out, add_a, add_b, mul_out, mul_a,
+        # mul_b, mov_out, mov_src) in PE order.
+        pe_table = self.pe_table
+        scratch = self.scratch_base
+        layers: list[tuple[list[int], ...] | None] = [None] * self.cfg.depth
+        for pe, op in enumerate(instr.pe_ops):
+            if op is _IDLE:
                 continue
-            (a_port, a_id), (b_port, b_id) = cfg.pe_operand_sources(pe)
-            a = port_cell[a_id] if a_port else produced[a_id]
-            b = port_cell[b_id] if b_port else produced[b_id]
-            out = self.scratch_base + pe
-            group = layers.setdefault(
-                cfg.pe_layer(pe),
-                {k: [] for k in (
-                    "add_out", "add_a", "add_b",
-                    "mul_out", "mul_a", "mul_b",
-                    "mov_out", "mov_src",
-                )},
-            )
-            if op is PEOp.PASS_A or op is PEOp.PASS_B:
-                src = a if op is PEOp.PASS_A else b
+            a_slot, b_slot, layer = pe_table[pe]
+            a = vals[a_slot]
+            b = vals[b_slot]
+            out = scratch + pe
+            group = layers[layer]
+            if group is None:
+                group = layers[layer] = ([], [], [], [], [], [], [], [])
+            if op is _PASS_A or op is _PASS_B:
+                src = a if op is _PASS_A else b
                 if src is None:
                     raise SimulationError(
                         f"PE {pe}: {op.name} with missing operand"
                     )
-                group["mov_out"].append(out)
-                group["mov_src"].append(src)
+                group[6].append(out)
+                group[7].append(src)
             else:
                 if a is None or b is None:
                     raise SimulationError(
@@ -416,34 +520,31 @@ class _Lowerer:
                         f"(a={'ok' if a is not None else 'missing'}, "
                         f"b={'ok' if b is not None else 'missing'})"
                     )
-                key = "add" if op is PEOp.ADD else "mul"
-                group[f"{key}_out"].append(out)
-                group[f"{key}_a"].append(a)
-                group[f"{key}_b"].append(b)
-            produced[pe] = out
-        for layer in sorted(layers):
-            g = layers[layer]
-            self.steps.append(
-                ComputeStep(**{k: _arr(v) for k, v in g.items()})
-            )
+                first = 0 if op is _ADD else 3
+                group[first].append(out)
+                group[first + 1].append(a)
+                group[first + 2].append(b)
+            vals[banks + pe] = out
+        for group in layers:
+            if group is not None:
+                self.steps.append(ComputeStep(*map(_arr, group)))
 
         write_src: list[int] = []
         write_dst: list[int] = []
+        commit_cycle = cycle + self.cfg.pipeline_stages
         for w in instr.writes:
-            if not self.inter.can_write(w.pe, w.bank):
+            if w.pe not in self.writers[w.bank]:
                 raise SimulationError(
                     f"PE {w.pe} cannot write bank {w.bank} "
                     "(output interconnect violation)"
                 )
-            src = produced[w.pe]
+            src = vals[banks + w.pe]
             if src is None:
                 raise SimulationError(
                     f"write from idle PE {w.pe} (var {w.var})"
                 )
             write_src.append(src)
-            write_dst.append(
-                self._reserve(cycle, self.cfg.pipeline_stages, w.bank, w.var)
-            )
+            write_dst.append(self._reserve(commit_cycle, w.bank, w.var))
         if write_dst:
             self.steps.append(MoveStep(_arr(write_src), _arr(write_dst)))
 
@@ -458,7 +559,7 @@ class _Lowerer:
             src_cells.append(
                 self._read_cell(m.src_bank, m.var, m.free_source)
             )
-            dst_cells.append(self._reserve(cycle, 1, m.dst_bank, m.var))
+            dst_cells.append(self._reserve(cycle + 1, m.dst_bank, m.var))
         if dst_cells:
             self.steps.append(MoveStep(_arr(src_cells), _arr(dst_cells)))
 
@@ -474,7 +575,7 @@ class _Lowerer:
                     f"{tag}, program expects {var}"
                 )
             src_cells.append(cell)
-            dst_cells.append(self._reserve(cycle, 1, bank, var))
+            dst_cells.append(self._reserve(cycle + 1, bank, var))
         if dst_cells:
             self.steps.append(MoveStep(_arr(src_cells), _arr(dst_cells)))
 

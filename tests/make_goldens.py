@@ -97,17 +97,6 @@ def plan_image_digests(config_label: str, workload: str) -> dict[str, str]:
     }
 
 
-def all_plan_image_digests() -> dict:
-    """The ``plan_images.json`` document."""
-    return {
-        label: {
-            name: plan_image_digests(label, name)
-            for name in plan_workloads()
-        }
-        for label in PLAN_CONFIGS
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=4)
@@ -129,7 +118,14 @@ def main(argv: list[str] | None = None) -> int:
         path.write_text(canonical_json(run.snapshot) + "\n")
         print(f"wrote {path}")
     path = out_dir / PLAN_IMAGES
-    path.write_text(canonical_json(all_plan_image_digests()) + "\n")
+    digests = {
+        label: {
+            name: plan_image_digests(label, name)
+            for name in plan_workloads()
+        }
+        for label in PLAN_CONFIGS
+    }
+    path.write_text(canonical_json(digests) + "\n")
     print(f"wrote {path}")
     return 0
 

@@ -256,6 +256,65 @@ class TestSpanTrees:
                 cur = by_id[cur["parent"]]
             assert cur["id"] == root["id"]
 
+    def test_self_times_subtract_direct_children(self):
+        events = [
+            {"id": "r", "parent": None, "dur": 100},
+            {"id": "a", "parent": "r", "dur": 60},
+            {"id": "b", "parent": "a", "dur": 25},
+            {"id": "c", "parent": "r", "dur": 30},
+        ]
+        assert trace.self_times(events) == {
+            "r": 10, "a": 35, "b": 25, "c": 30,
+        }
+
+    def test_self_times_sum_to_at_most_the_root(self):
+        import numpy as np
+
+        from repro.arch import ArchConfig
+        from repro.compiler import compile_dag
+        from repro.sim import BatchSimulator
+        from repro.workloads import build_workload
+
+        trace.enable(process_token="self")
+        trace.set_sample_every(1)
+        with trace.span("root", "test"):
+            plan = compile_dag(
+                build_workload("tretail", scale=0.02),
+                ArchConfig(depth=2, banks=8, regs_per_bank=16),
+            ).plan()
+            BatchSimulator(plan, engine="fused").run(
+                np.ones((4, plan.num_inputs))
+            )
+        events = trace.drain()
+        (root,) = [e for e in events if e["name"] == "root"]
+        own = trace.self_times(events)
+        below = sum(own[e["id"]] for e in events if e is not root)
+        assert len(events) > 10
+        assert 0 < below <= root["dur"]
+
+    def test_profile_self_column_sums_to_at_most_wall(self, capsys):
+        import re
+
+        from repro.cli import main
+
+        assert main(
+            ["profile", "tretail", "--scale", "0.02", "--batch", "16"]
+        ) == 0
+        title, header, _rule, *rows = capsys.readouterr().out.splitlines()
+        wall_ms = float(re.search(r"wall ([0-9.]+)ms", title).group(1))
+        columns = re.split(r"\s{2,}", header.strip())
+        cells = [row.split() for row in rows]
+        self_ms = [float(c[columns.index("self ms")]) for c in cells]
+        self_pct = [float(c[columns.index("% self")]) for c in cells]
+        total_ms = [float(c[columns.index("total ms")]) for c in cells]
+        # Printed values are rounded: wall to 0.1 ms, percentages to
+        # 0.1 — allow that much per row and no more.
+        assert sum(self_ms) <= wall_ms + 0.05 + 0.0005 * len(rows)
+        assert sum(self_pct) <= 100.0 + 0.05 * len(rows)
+        assert all(s <= t for s, t in zip(self_ms, total_ms))
+        # Inclusive time double counts nested spans; self time must not.
+        assert sum(total_ms) > sum(self_ms)
+
     def test_chrome_export_round_trip(self, tmp_path):
         import json
 

@@ -174,6 +174,17 @@ class TestFusePlan:
         assert estimated_fused_cells(plan) <= AUTO_FUSED_CELL_CAP
         assert BatchSimulator(plan, engine="auto").engine == "fused"
 
+    def test_auto_falls_back_to_step_over_the_cap(self, monkeypatch):
+        import repro.sim.batch as batch
+
+        dag = generate_synth("deep", 30, seed=4)
+        plan = compile_dag(dag, CFG).plan()
+        monkeypatch.setattr(batch, "AUTO_FUSED_CELL_CAP", 0)
+        assert batch.resolve_engine(plan, "auto") == "step"
+        assert BatchSimulator(plan, engine="auto").engine == "step"
+        for engine in ("step", "fused", "codegen"):
+            assert batch.resolve_engine(plan, engine) == engine
+
     def test_unknown_engine_rejected(self):
         dag = generate_synth("deep", 10, seed=0)
         plan = compile_dag(dag, CFG).plan()
