@@ -30,7 +30,11 @@ variable-length binary) plus the compiler-only sidecars the hardware
 never sees: variable tags, exec block ids and crossbar port-use masks
 (a port muxing bank 0 and an unused port encode the same bits, so the
 mask is what keeps ``port_source`` — and with it the analytic crossbar
-counters — exact through a round-trip).  ``load_program`` therefore
+counters — exact through a round-trip).  A mask is one 64-bit word
+with bit ``p`` set when port ``p`` is used, stored as its
+two's-complement ``<i8`` bit pattern, so an image holds configurations
+of at most 64 ports; wider ones raise
+:class:`~repro.errors.ImageError`.  ``load_program`` therefore
 runs the real decoder: an image round-trip *is* an
 encode→decode→reassemble proof, which the differential oracle's
 ``image-roundtrip`` stage executes and compares bitwise.
@@ -73,6 +77,9 @@ MAGIC = b"RIMG"
 IMAGE_VERSION = 1
 KIND_PLAN = 1
 KIND_PROGRAM = 2
+
+#: Crossbar ports one 64-bit port-use mask can describe.
+MAX_IMAGE_PORTS = 64
 
 _HEADER = struct.Struct("<4sHHIQQ4x")  # magic ver kind nsect paylen cksum
 _SECTION = struct.Struct("<8sQQB7x")  # tag offset length dtype
@@ -418,6 +425,12 @@ def dump_program(
     interconnect: Interconnect | None = None,
 ) -> bytes:
     """Serialize a compiled program: packed bitstream + sidecars."""
+    ports = program.config.num_trees * program.config.tree_inputs
+    if ports > MAX_IMAGE_PORTS:
+        raise ImageError(
+            f"program images hold at most {MAX_IMAGE_PORTS} crossbar "
+            f"ports per port-use mask; {program.config} has {ports}"
+        )
     inter = interconnect or Interconnect(program.config)
     encoded = encode_program(program, read_addrs, inter)
     var_tags, block_ids, port_masks = _sidecars(program)
@@ -445,7 +458,9 @@ def dump_program(
     builder.add_array("lengths", np.asarray(encoded.lengths, dtype="<i4"))
     builder.add_array("vars", np.asarray(var_tags, dtype="<i4"))
     builder.add_array("blocks", np.asarray(block_ids, dtype="<i4"))
-    builder.add_array("ports", np.asarray(port_masks, dtype="<i8"))
+    builder.add_array(
+        "ports", np.asarray(port_masks, dtype="<u8").view("<i8")
+    )
     return builder.tobytes()
 
 
@@ -484,6 +499,8 @@ def load_program(
 
     var_tags = img.array("vars")
     block_ids = img.array("blocks")
+    # A mask with port 63 in use reads back negative; Python's ``>>``
+    # keeps the two's-complement bits, so the walk below is exact.
     port_masks = img.array("ports")
     cursor = {"var": 0, "block": 0, "port": 0}
 

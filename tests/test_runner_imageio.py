@@ -117,6 +117,47 @@ class TestProgramImages:
         assert addrs2 == addrs
 
 
+class TestWidePortMasks:
+    """The paper's min-EDP point has 64 crossbar ports, so an exec's
+    port-use mask can need bit 63."""
+
+    WIDE = ArchConfig(depth=3, banks=64, regs_per_bank=32)
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        dag = make_random_dag(seed=21, num_ops=400)
+        return dag, compile_dag(dag, self.WIDE)
+
+    def test_port_63_round_trips(self, wide):
+        dag, result = wide
+        addrs = result.allocation.read_addrs
+        assert any(
+            instr.port_source[63] is not None
+            for instr in result.program.instructions
+            if instr.mnemonic == "exec"
+        )
+        prog2, addrs2 = load_program(dump_program(result.program, addrs))
+        assert addrs2 == addrs
+        original = encode_program(result.program, addrs)
+        assert encode_program(prog2, addrs2).data == original.data
+        inputs = list(
+            np.random.default_rng(5).uniform(0.9, 1.1, size=dag.num_inputs)
+        )
+        direct = run_program(result.program, inputs, check_addresses=addrs)
+        loaded = run_program(prog2, inputs, check_addresses=addrs2)
+        assert sorted(direct.outputs) == sorted(loaded.outputs)
+        for var in direct.outputs:
+            bits = np.float64(direct.outputs[var]).tobytes()
+            assert np.float64(loaded.outputs[var]).tobytes() == bits
+        assert direct.counters == loaded.counters
+
+    def test_more_than_64_ports_is_a_typed_error(self):
+        config = ArchConfig(depth=1, banks=128, regs_per_bank=16)
+        result = compile_dag(make_random_dag(seed=21, num_ops=50), config)
+        with pytest.raises(ImageError, match="at most 64 crossbar ports"):
+            dump_program(result.program, result.allocation.read_addrs)
+
+
 class TestCorruptionDetection:
     def test_flipped_payload_byte_rejected(self, plan):
         buf = bytearray(dump_plan(plan))
