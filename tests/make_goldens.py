@@ -8,12 +8,13 @@ Each registered experiment is run at its reduced ``golden_kwargs``
 scale and its canonical snapshot (deterministic metrics only, floats
 at full precision) is written to ``tests/goldens/<name>.json``.
 
-``tests/goldens/plan_images.json`` pins the lowering and fusion
-stages byte for byte: for every Table-I workload and every synth
-family at ``DEFAULT_SCALE``, compiled at each of :data:`PLAN_CONFIGS`,
-it holds the sha256 of the lowered plan's image (``dump_plan``, which
-carries the activity counters) and of the fused plan's image
-(:func:`fused_image`).
+``tests/goldens/plan_images.json`` pins the compiler, lowering and
+fusion stages byte for byte: for every Table-I workload and every
+synth family at ``DEFAULT_SCALE``, compiled at each of
+:data:`PLAN_CONFIGS`, it holds the sha256 of the compiled program's
+image (``dump_program``: bitstream, read addresses and sidecars), of
+the lowered plan's image (``dump_plan``, which carries the activity
+counters) and of the fused plan's image (:func:`fused_image`).
 
 Regenerate only when an intentional change shifts the reproduction's
 numbers, and review the diff like any other behavioral change.
@@ -81,17 +82,21 @@ def fused_image(fused) -> bytes:
 
 
 def plan_image_digests(config_label: str, workload: str) -> dict[str, str]:
-    """sha256 of the lowered and of the fused image of one workload."""
+    """sha256 of the program, lowered and fused images of one
+    workload."""
     from repro.arch import ArchConfig
     from repro.compiler import compile_dag
-    from repro.runner.imageio import dump_plan
+    from repro.runner.imageio import dump_plan, dump_program
     from repro.sim.fused import fuse_plan
     from repro.workloads import build_workload
 
     depth, banks, regs = (int(p[1:]) for p in config_label.split("-"))
     config = ArchConfig(depth=depth, banks=banks, regs_per_bank=regs)
-    plan = compile_dag(build_workload(workload), config).plan()
+    result = compile_dag(build_workload(workload), config)
+    plan = result.plan()
+    program = dump_program(result.program, result.allocation.read_addrs)
     return {
+        "program": hashlib.sha256(program).hexdigest(),
         "plan": hashlib.sha256(dump_plan(plan)).hexdigest(),
         "fused": hashlib.sha256(fused_image(fuse_plan(plan))).hexdigest(),
     }

@@ -1,9 +1,10 @@
-"""Byte-level parity of plan lowering and fusion, pinned by goldens.
+"""Byte-level parity of compiling, plan lowering and fusion, pinned by
+goldens.
 
 Every Table-I workload and every synth family, compiled at each
-architecture point of ``make_goldens.PLAN_CONFIGS``, must lower and
-fuse to images whose sha256 matches ``tests/goldens/plan_images.json``.
-The plan image carries the activity counters, so this also pins
+architecture point of ``make_goldens.PLAN_CONFIGS``, must compile,
+lower and fuse to program, plan and fused images whose sha256 matches
+``tests/goldens/plan_images.json``.  The plan image carries the activity counters, so this also pins
 :func:`repro.sim.activity.count_activity`.
 """
 
@@ -34,6 +35,6 @@ def test_goldens_cover_every_config_and_workload():
 @pytest.mark.parametrize("workload", plan_workloads())
 def test_plan_and_fused_images_match_golden(label, workload):
     assert plan_image_digests(label, workload) == GOLDEN[label][workload], (
-        f"{workload} @ {label}: lowered or fused image drifted from "
-        "tests/goldens/plan_images.json"
+        f"{workload} @ {label}: program, lowered or fused image drifted "
+        "from tests/goldens/plan_images.json"
     )
