@@ -124,7 +124,7 @@ class DagArrays:
         return self._dfs_pos
 
     # ------------------------------------------------------------------
-    # Level-synchronous kernels
+    # Level and height kernels
     # ------------------------------------------------------------------
     def level_slices(self) -> list[np.ndarray]:
         """Topo-order node ids grouped by ASAP level (views, ascending).
@@ -179,25 +179,22 @@ class DagArrays:
 
         Inputs have height 0; an arithmetic node is one past the max of
         its predecessors, saturating at ``cap + 1`` ("does not fit").
-        This is the array form of the decomposer's seeding sweep,
-        computed level by level with ``maximum.reduceat``.
+        This is the decomposer's seeding sweep: one pass in topological
+        order.  (A level-synchronous numpy form pays a dozen array
+        calls per level, which costs more than the pass itself on the
+        deep, narrow DAGs of sparse triangular solves.)
         """
         overflow = cap + 1
-        heights = np.zeros(self.n, dtype=np.int32)
-        indptr, indices = self.pred_indptr, self.pred_indices
-        for nodes in self.level_slices()[1:]:
-            arith = nodes[~self.is_input[nodes]]
-            if arith.size == 0:
-                continue
-            starts = indptr[arith]
-            counts = (indptr[arith + 1] - starts).astype(np.int64)
-            cum = np.cumsum(counts)
-            flat = np.arange(int(cum[-1]), dtype=np.int64) + np.repeat(
-                starts - np.concatenate(([0], cum[:-1])), counts
-            )
-            worst = np.maximum.reduceat(
-                heights[indices[flat]],
-                np.concatenate(([0], cum[:-1])),
-            )
-            heights[arith] = np.minimum(worst + 1, overflow)
-        return heights
+        heights = [0] * self.n
+        preds_of = self.dag._preds
+        for node in self.topo.tolist():
+            preds = preds_of[node]
+            if not preds:
+                continue  # an input
+            worst = 0
+            for p in preds:
+                h = heights[p]
+                if h > worst:
+                    worst = h
+            heights[node] = worst + 1 if worst < cap else overflow
+        return np.asarray(heights, dtype=np.int32)

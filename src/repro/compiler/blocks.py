@@ -37,7 +37,7 @@ from ..errors import CompileError
 from ..graphs import DAG, OpType
 from .arrays import DagArrays
 from .combos import Slot, SlotAllocator
-from .cones import Cone, build_cone, cone_height
+from .cones import Cone, build_cone
 
 
 @dataclass(frozen=True)
@@ -161,21 +161,35 @@ def _build_block(
     dfs_pos: list[int],
     block_id: int,
 ) -> Block:
-    """Fill one block: deepest cones first, DFS-proximal within a depth."""
+    """Fill one block: deepest cones first, DFS-proximal within a depth.
+
+    ``height`` is exact for every uncomputed node (``_commit_block``
+    keeps it so), so a candidate popped from the bucket of its own
+    height is unrolled at that height without a fresh walk, and its
+    cone always fits the slot picked for it.  Entries whose height has
+    since dropped are requeued in a shallower bucket; candidates
+    overlapping a cone already placed in this block wait for the next
+    block.
+    """
     depth = config.depth
     allocator = SlotAllocator(depth, config.num_trees, phase=block_id)
     claimed: set[int] = set()
     placed: list[PlacedCone] = []
     deferred: list[tuple[int, tuple[int, int]]] = []  # (height, entry)
+    heappop = heapq.heappop
 
-    while True:
-        max_depth = allocator.max_free_depth()
-        if max_depth == 0:
-            break
-        entry_height = _pick_height(buckets, max_depth)
-        if entry_height == 0:
-            break
-        dfs_key, node = heapq.heappop(buckets[entry_height])
+    # Take from the deepest non-empty bucket that fits a free slot.  The
+    # deepest free slot only shrinks as cones are placed, and requeued
+    # entries only move to shallower buckets, so the scan never has to
+    # look above where it stopped.
+    max_depth = allocator.max_free_depth()
+    entry_height = max_depth
+    while entry_height:
+        bucket = buckets[entry_height]
+        if not bucket:
+            entry_height -= 1
+            continue
+        dfs_key, node = heappop(bucket)
         if computed[node]:
             continue  # stale
         h = height[node]
@@ -186,34 +200,24 @@ def _build_block(
         if node in claimed:
             # Covered by a cone already placed in this block.
             continue
-        cone = build_cone(dag, computed, node, max_depth)
-        if cone is None:
-            # Height beyond the remaining slots; retry in a later block.
+        cone = build_cone(dag, computed, node, max_depth, h)
+        if cone is None or not claimed.isdisjoint(cone.nodes):
+            # Too deep for the remaining slots, or overlapping a cone
+            # of this block (it shrinks once the block commits): retry
+            # in the next block.
             deferred.append((h, (dfs_key, node)))
             continue
-        if cone.nodes & claimed:
-            # Overlaps a cone of this block; it will shrink once the
-            # block commits — defer to the next block.
-            deferred.append((h, (dfs_key, node)))
-            continue
-        slot = allocator.place(cone.height)
+        slot = allocator.place(h)
         placed.append(PlacedCone(cone=cone, slot=slot))
         claimed |= cone.nodes
+        max_depth = allocator.max_free_depth()
+        if entry_height > max_depth:
+            entry_height = max_depth
 
     for h, entry in deferred:
         heapq.heappush(buckets[h], entry)
 
     return Block(id=block_id, placed=placed, nodes=claimed)
-
-
-def _pick_height(
-    buckets: list[list[tuple[int, int]]], max_depth: int
-) -> int:
-    """Deepest non-empty candidate bucket that still fits a free slot."""
-    for h in range(max_depth, 0, -1):
-        if buckets[h]:
-            return h
-    return 0
 
 
 def _commit_block(
@@ -260,23 +264,28 @@ def _commit_block(
 
 def _annotate_io(dag: DAG, blocks: list[Block]) -> None:
     """Fill each block's input/output variable sets."""
-    block_of: dict[int, int] = {}
+    block_of = [-1] * dag.num_nodes
     for block in blocks:
+        bid = block.id
         for node in block.nodes:
-            block_of[node] = block.id
+            block_of[node] = bid
+    succs_of = dag._succs
     for block in blocks:
         inputs: set[int] = set()
         for placed in block.placed:
             inputs |= placed.cone.leaf_vars
         block.input_vars = inputs
+        bid = block.id
         outputs: set[int] = set()
         for node in block.nodes:
-            succs = dag.successors(node)
+            succs = succs_of[node]
             if not succs:
                 outputs.add(node)  # DAG output
                 continue
-            if any(block_of.get(s) != block.id for s in succs):
-                outputs.add(node)
+            for succ in succs:
+                if block_of[succ] != bid:
+                    outputs.add(node)  # read by a later block
+                    break
         block.output_vars = outputs
 
 

@@ -67,7 +67,6 @@ K_PASS = 2
 K_ADD = 3
 K_MUL = 4
 
-_KIND_OF_OP = {OpType.ADD: K_ADD, OpType.MUL: K_MUL}
 _OP_OF_KIND = {K_ADD: OpType.ADD, K_MUL: OpType.MUL}
 
 
@@ -177,14 +176,24 @@ def cone_height(dag: DAG, computed, node: int, cap: int) -> int:
     return height_of(node, cap)
 
 
-def build_cone(dag: DAG, computed, sink: int, max_height: int) -> Cone | None:
+def build_cone(
+    dag: DAG,
+    computed,
+    sink: int,
+    max_height: int,
+    height: int | None = None,
+) -> Cone | None:
     """Unroll ``sink``'s uncomputed region into a cone.
 
-    Returns ``None`` if the region is deeper than ``max_height`` (the
-    candidate is not schedulable yet) or if ``sink`` is already
+    ``height`` is the sink's cone height under ``computed`` when the
+    caller already knows it (the decomposer maintains every node's
+    height incrementally); without it, :func:`cone_height` computes
+    it.  Returns ``None`` if the region is deeper than ``max_height``
+    (the candidate is not schedulable yet) or if ``sink`` is already
     computed.
     """
-    height = cone_height(dag, computed, sink, max_height)
+    if height is None:
+        height = cone_height(dag, computed, sink, max_height)
     if height == 0 or height > max_height:
         return None
 
@@ -196,18 +205,21 @@ def build_cone(dag: DAG, computed, sink: int, max_height: int) -> Cone | None:
     count = 0
     preds_of = dag._preds
     ops_of = dag._ops
+    add = OpType.ADD
 
     # Iterative unroll into heap positions.  ``below`` is the number of
     # levels between this instance and the port row.
     stack: list[tuple[int, int, int]] = [(sink, 0, height)]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        n, pos, below = stack.pop()
+        n, pos, below = pop()
         if computed[n]:
             # Pad with PASS stages down to the port level.
             leaf_vars.add(n)
+            count += below
             for _ in range(below):
                 kinds[pos] = K_PASS
-                count += 1
                 pos = 2 * pos + 1
             kinds[pos] = K_LEAF
             vals[pos] = n
@@ -219,16 +231,21 @@ def build_cone(dag: DAG, computed, sink: int, max_height: int) -> Cone | None:
             )
         nodes.add(n)
         count += 1
-        kinds[pos] = _KIND_OF_OP[ops_of[n]]
+        # Fan-in 2 means ADD or MUL (INPUT nodes have none).
+        kinds[pos] = K_ADD if ops_of[n] is add else K_MUL
         vals[pos] = n
-        stack.append((preds[1], 2 * pos + 2, below - 1))
-        stack.append((preds[0], 2 * pos + 1, below - 1))
+        below -= 1
+        push((preds[1], 2 * pos + 2, below))
+        push((preds[0], 2 * pos + 1, below))
 
     return Cone(
         sink=sink,
         height=height,
         kinds=tuple(kinds),
         vals=tuple(vals),
+        # Built as sets, then copied: a block's node order, which the
+        # later passes follow, inherits this iteration order, and a
+        # frozenset built another way can iterate differently.
         nodes=frozenset(nodes),
         leaf_vars=frozenset(leaf_vars),
         num_instances=count,

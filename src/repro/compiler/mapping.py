@@ -19,15 +19,19 @@ least-contended bank when none is compatible — which the scheduler
 later resolves with ``copy`` instructions (bank conflicts,
 objective I).
 
-The ``Sb`` state lives in numpy: a boolean (io-var, bank) matrix, a
-size vector, and a two-level counting index (per-``|Sb|`` counts per
-256-variable block of the sorted io-var space) that answers "k-th
-smallest-id variable with the minimum ``|Sb|``" in O(blocks) — the
-selection every assignment performs.  The same random choices as the
-historical bucket-of-sets implementation are reproduced exactly: the
-k-th member of a bucket in ascending variable order, with one
-``randrange`` per pop and one per bank choice, so programs (and the
-goldens) are bitwise-unchanged.
+The state is plain Python in io-var index space (the io variables are
+sorted, so index order is variable order).  ``Sb`` is one int bitmask
+per variable and ``|Sb|`` its ``bit_count()``.  The unassigned
+variables sit in one sorted list per ``|Sb|``: a pop takes the
+``randrange``-th entry of the minimum list, i.e. the k-th variable in
+ascending order, and a peer that loses a bank moves one list down by
+bisection.  Each input or output group keeps a list of its unassigned
+members, so an assignment visits only live peers.  The random draws
+are one ``randrange`` per pop and one per bank choice (the k-th
+compatible bank in ascending order), the same sequence as the
+historical bucket-of-sets implementation, which
+``tests/mapper_reference.py`` keeps as a frozen reference that the
+tests hold this mapper equal to.
 
 When an *output* runs out of compatible banks, constraint H cannot be
 traded for a copy (the value exists only in the datapath that cycle),
@@ -41,27 +45,13 @@ the repair provably succeeds.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..arch import ArchConfig, Interconnect
 from ..errors import MappingError
 from .blocks import Decomposition
 from .placement import BlockPlacement, place_block, writer_pe
-
-#: Io-var space is indexed in 256-variable blocks by the counting
-#: index (a power of two keeps ``// BLK`` a shift).
-_BLK = 256
-
-#: Below this io-var count the per-assignment numpy calls cost more
-#: than the plain bucket-of-sets selection, so small compiles (the
-#: whole Table-I suite at test scale) take the set-based path.  Both
-#: paths replay the identical random-choice sequence —
-#: tests/test_compiler_arrays.py::TestMapperPathEquivalence pins the
-#: A/B (including the conflict/repair fallbacks) by forcing each path
-#: on the same decompositions.
-_ARRAY_KERNEL_MIN_VARS = 4096
 
 
 @dataclass
@@ -144,112 +134,10 @@ def map_banks(
             out_group_of, groups,
         )
 
-    banks = config.banks
-    n_io = len(io_vars)
-    all_banks = frozenset(range(banks))
-    if n_io < _ARRAY_KERNEL_MIN_VARS:
-        bank_of, conflicts, repairs = _assign_small(
-            rng, config, io_vars, writable, var_groups, groups,
-            out_group_of, all_banks,
-        )
-        return Mapping(
-            bank_of=bank_of,
-            write_pe=write_pe,
-            placements=placements,
-            predicted_read_conflicts=conflicts,
-            repairs=repairs,
-        )
-    var_index = {v: i for i, v in enumerate(io_vars)}
-
-    # Sb as a boolean matrix over (io-var index, bank); outputs start
-    # restricted to their hardware-writable banks (constraint H).
-    sb = np.ones((n_io, banks), dtype=bool)
-    for v, options in writable.items():
-        row = sb[var_index[v]]
-        row[:] = False
-        row[list(options)] = True
-    sizes = sb.sum(axis=1).astype(np.int64)
-    alive = np.ones(n_io, dtype=bool)
-
-    # Two-level counting index: cnt[s, blk] = alive vars with |Sb|=s in
-    # io-var block blk; bucket_tot[s] = row sums, kept incrementally.
-    nblk = (n_io + _BLK - 1) // _BLK or 1
-    blk_of = np.arange(n_io, dtype=np.int64) // _BLK
-    cnt = np.zeros((banks + 1, nblk), dtype=np.int64)
-    np.add.at(cnt, (sizes, blk_of), 1)
-    bucket_tot = np.bincount(sizes, minlength=banks + 1).astype(np.int64)
-
-    # Group membership in index space, for the compatibility updates.
-    group_members: list[np.ndarray] = [
-        np.fromiter(
-            (var_index[v] for v in g), dtype=np.int64, count=len(g)
-        )
-        for g in groups
-    ]
-    gids_of: list[list[int]] = [var_groups[v] for v in io_vars]
-
-    bank_of: dict[int, int] = {}
-    conflicts = 0
-    repairs = 0
-
-    # A pop can lower the minimum |Sb| by at most one (each peer loses
-    # at most one bank), so the min-bucket scan resumes near the
-    # previous minimum instead of restarting at zero.
-    s = 0
-    for _ in range(n_io):
-        # --- pop the min-|Sb| variable, k-th in ascending var order ---
-        if s > 0:
-            s -= 1
-        while not bucket_tot[s]:
-            s += 1
-        k = rng.randrange(int(bucket_tot[s]))
-        row_cum = np.cumsum(cnt[s])
-        blk = int(np.searchsorted(row_cum, k, side="right"))
-        base = int(row_cum[blk - 1]) if blk else 0
-        lo = blk * _BLK
-        seg = (
-            (sizes[lo : lo + _BLK] == s) & alive[lo : lo + _BLK]
-        ).nonzero()[0]
-        v_idx = lo + int(seg[k - base])
-        v = io_vars[v_idx]
-
-        # --- choose its bank -----------------------------------------
-        if s > 0:
-            options = sb[v_idx].nonzero()[0]
-            bank = int(options[rng.randrange(options.size)])
-        elif v in writable:
-            bank, moved = _repair_output(
-                v, writable, bank_of, out_group_of, groups, rng
-            )
-            repairs += moved
-        else:
-            bank = _least_contended(
-                v, all_banks, var_groups, groups, bank_of, rng
-            )
-            conflicts += 1
-        bank_of[v] = bank
-
-        # --- retire v and update peers' compatibility ----------------
-        alive[v_idx] = False
-        cnt[s, v_idx // _BLK] -= 1
-        bucket_tot[s] -= 1
-        gids = gids_of[v_idx]
-        if len(gids) == 1:
-            peers = group_members[gids[0]]
-        else:
-            peers = np.concatenate([group_members[g] for g in gids])
-        hit = sb[peers, bank] & alive[peers]
-        if hit.any():
-            affected = np.unique(peers[hit])
-            sb[affected, bank] = False
-            old = sizes[affected]
-            sizes[affected] = old - 1
-            blks = affected // _BLK
-            np.add.at(cnt, (old, blks), -1)
-            np.add.at(cnt, (old - 1, blks), 1)
-            np.add.at(bucket_tot, old, -1)
-            np.add.at(bucket_tot, old - 1, 1)
-
+    bank_of, conflicts, repairs = _assign(
+        rng, config.banks, io_vars, writable, var_groups, groups,
+        out_group_of,
+    )
     return Mapping(
         bank_of=bank_of,
         write_pe=write_pe,
@@ -259,42 +147,58 @@ def map_banks(
     )
 
 
-def _assign_small(
+def _assign(
     rng: random.Random,
-    config: ArchConfig,
+    banks: int,
     io_vars: list[int],
     writable: dict[int, tuple[int, ...]],
     var_groups: dict[int, list[int]],
     groups: list[list[int]],
     out_group_of: dict[int, int],
-    all_banks: frozenset[int],
 ) -> tuple[dict[int, int], int, int]:
-    """Bucket-of-sets Algorithm 2 (the historical implementation).
+    """Greedy min-``|Sb|`` assignment; returns (bank of each io var,
+    read conflicts, output repairs).
 
-    Kept as the small-DAG fast path: identical selection semantics to
-    the array kernel (min-|Sb| bucket, k-th member in ascending var
-    order, same randrange sequence), cheaper below a few thousand io
-    vars.
+    ``sb[i]`` is variable ``i``'s bank bitmask, ``by_size[s]`` the
+    sorted indices of unassigned variables with ``|Sb| = s``, and
+    ``live[g]`` the unassigned members of group ``g``.
     """
-    sb: dict[int, set[int]] = {}
-    for v in io_vars:
-        base = set(writable[v]) if v in writable else set(all_banks)
-        sb[v] = base
-
-    buckets: list[set[int]] = [set() for _ in range(config.banks + 1)]
-    for v in io_vars:
-        buckets[len(sb[v])].add(v)
+    index = {v: i for i, v in enumerate(io_vars)}
+    sb = [(1 << banks) - 1] * len(io_vars)
+    for v, options in writable.items():
+        mask = 0
+        for b in options:
+            mask |= 1 << b
+        sb[index[v]] = mask
+    by_size: list[list[int]] = [[] for _ in range(banks + 1)]
+    for i, mask in enumerate(sb):
+        by_size[mask.bit_count()].append(i)
+    live = [[index[v] for v in g] for g in groups]
+    gids_of = [var_groups[v] for v in io_vars]
 
     bank_of: dict[int, int] = {}
     conflicts = 0
     repairs = 0
-    unassigned = set(io_vars)
+    randrange = rng.randrange
+    # A pop lowers the minimum |Sb| by at most one (each peer loses at
+    # most one bank), so the scan resumes just below the last minimum.
+    s = 0
+    for _ in range(len(io_vars)):
+        # Pop the min-|Sb| variable: the k-th in ascending var order.
+        if s:
+            s -= 1
+        while not by_size[s]:
+            s += 1
+        bucket = by_size[s]
+        i = bucket.pop(randrange(len(bucket)))
+        v = io_vars[i]
 
-    while unassigned:
-        v = _pop_min_sb(buckets, sb, unassigned, rng)
-        options = sb[v]
-        if options:
-            bank = _rng_choice(rng, options)
+        if s:
+            # The k-th compatible bank in ascending order.
+            mask = sb[i]
+            for _ in range(randrange(s)):
+                mask &= mask - 1
+            bank = (mask & -mask).bit_length() - 1
         elif v in writable:
             bank, moved = _repair_output(
                 v, writable, bank_of, out_group_of, groups, rng
@@ -302,37 +206,25 @@ def _assign_small(
             repairs += moved
         else:
             bank = _least_contended(
-                v, all_banks, var_groups, groups, bank_of, rng
+                v, range(banks), var_groups, groups, bank_of, rng
             )
             conflicts += 1
         bank_of[v] = bank
-        unassigned.discard(v)
-        # Compatibility updates: peers sharing a group lose this bank.
-        for gid in var_groups[v]:
-            for peer in groups[gid]:
-                if peer in unassigned and bank in sb[peer]:
-                    size = len(sb[peer])
-                    sb[peer].discard(bank)
-                    buckets[size].discard(peer)
-                    buckets[size - 1].add(peer)
+
+        # Retire v; its live peers lose the bank.
+        bit = 1 << bank
+        for gid in gids_of[i]:
+            members = live[gid]
+            members.remove(i)
+            for j in members:
+                mask = sb[j]
+                if mask & bit:
+                    sb[j] = mask ^ bit
+                    size = mask.bit_count()
+                    old = by_size[size]
+                    del old[bisect_left(old, j)]
+                    insort(by_size[size - 1], j)
     return bank_of, conflicts, repairs
-
-
-def _pop_min_sb(
-    buckets: list[set[int]],
-    sb: dict[int, set[int]],
-    unassigned: set[int],
-    rng: random.Random,
-) -> int:
-    for size, bucket in enumerate(buckets):
-        while bucket:
-            v = _rng_choice(rng, bucket)
-            if v not in unassigned or len(sb[v]) != size:
-                bucket.discard(v)
-                continue
-            bucket.discard(v)
-            return v
-    raise MappingError("no unassigned variable found (bucket corruption)")
 
 
 def _rng_choice(rng: random.Random, items) -> int:

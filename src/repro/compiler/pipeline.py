@@ -295,7 +295,13 @@ def _compile_monolithic(
         )
         # Spilling splits residences; re-run liveness so the flags
         # reflect the final read order, then assert the discipline.
-        final_instrs = annotate_liveness(spilled.instructions)
+        # A schedule that came back as the very same instructions
+        # already carries its final flags.
+        final_instrs = spilled.instructions
+        if len(final_instrs) != len(flagged) or any(
+            a is not b for a, b in zip(final_instrs, flagged)
+        ):
+            final_instrs = annotate_liveness(final_instrs)
         verify_hazard_free(final_instrs, config)
     steps["spill"] = time.perf_counter() - t0
 

@@ -152,22 +152,25 @@ def dfs_order(dag: DAG) -> list[int]:
     position = [-1] * dag.num_nodes
     counter = 0
     visited = [False] * dag.num_nodes
+    preds_of = dag._preds
     for root in dag.sinks():
         if visited[root]:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
         visited[root] = True
-        while stack:
-            node, child_idx = stack.pop()
-            preds = dag.predecessors(node)
-            if child_idx < len(preds):
-                stack.append((node, child_idx + 1))
-                child = preds[child_idx]
+        # Path from the root, and per node an iterator over the
+        # predecessors it has not descended into yet.
+        path = [root]
+        pending = [iter(preds_of[root])]
+        while path:
+            for child in pending[-1]:
                 if not visited[child]:
                     visited[child] = True
-                    stack.append((child, 0))
+                    path.append(child)
+                    pending.append(iter(preds_of[child]))
+                    break
             else:
-                position[node] = counter
+                position[path.pop()] = counter
+                pending.pop()
                 counter += 1
     # Isolated nodes (no path to any sink) — cannot happen for builder
     # DAGs, but keep the function total.

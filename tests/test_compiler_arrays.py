@@ -6,7 +6,9 @@ validation on the hot path), so this is where the contract is
 enforced: CSR adjacency mirrors ``predecessors``/``successors`` in
 order, the memoized topological order is the classic FIFO Kahn order,
 levels are ASAP levels, and the capped-height kernel matches the
-reference per-node sweep.
+reference per-node sweep.  The bank mapper must replay the frozen
+reference mapper's draws (``mapper_reference.py``) and keep
+constraints F, G and H.
 """
 
 from collections import deque
@@ -196,54 +198,123 @@ class TestDagArrays:
         assert arrays.capped_heights(2).tolist()[-1] >= 1
 
 
+def _decompose(dag, config):
+    from repro.arch import Interconnect
+    from repro.compiler import decompose
+    from repro.graphs import binarize
+
+    return decompose(binarize(dag).dag, config), Interconnect(config)
+
+
+def _assert_same_mapping(a, b):
+    assert list(a.bank_of.items()) == list(b.bank_of.items())
+    assert a.write_pe == b.write_pe
+    assert a.predicted_read_conflicts == b.predicted_read_conflicts
+    assert a.repairs == b.repairs
+
+
 class TestMapperPathEquivalence:
-    """The bank mapper's numpy counting-index kernel and the
-    historical bucket-of-sets path must replay the identical random
-    choice sequence — including the conflict (least-contended) and
-    constraint-H repair fallbacks — whichever side of
-    ``_ARRAY_KERNEL_MIN_VARS`` a DAG lands on."""
+    """``map_banks`` must replay the random-choice sequence of the
+    historical bucket-of-sets mapper (``tests/mapper_reference.py``)
+    exactly — same variables popped in the same order, same banks,
+    including the conflict (least-contended) and constraint-H repair
+    fallbacks."""
 
-    def _both_paths(self, dag, config, seed, monkeypatch):
-        import repro.compiler.mapping as mapping_module
-        from repro.arch import Interconnect
-        from repro.compiler import decompose
-        from repro.graphs import binarize
+    def _both(self, dag, config, seed):
+        from mapper_reference import reference_map_banks
 
-        decomp = decompose(binarize(dag).dag, config)
-        ic = Interconnect(config)
-        monkeypatch.setattr(mapping_module, "_ARRAY_KERNEL_MIN_VARS", 0)
-        via_arrays = mapping_module.map_banks(decomp, ic, seed=seed)
-        monkeypatch.setattr(
-            mapping_module, "_ARRAY_KERNEL_MIN_VARS", 10**9
+        from repro.compiler import map_banks
+
+        decomp, ic = _decompose(dag, config)
+        return (
+            map_banks(decomp, ic, seed=seed),
+            reference_map_banks(decomp, ic, seed=seed),
         )
-        via_sets = mapping_module.map_banks(decomp, ic, seed=seed)
-        return via_arrays, via_sets
 
     @pytest.mark.parametrize("family", ["layered", "reuse",
                                         "skewed_fanout", "diamond"])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_identical_mappings(self, family, seed, monkeypatch):
+    def test_identical_mappings(self, family, seed):
         from repro.arch import ArchConfig
 
         dag = generate_synth(family, 900, seed=11)
         # Small bank count forces contention (conflict fallback).
         config = ArchConfig(depth=2, banks=8, regs_per_bank=32)
-        a, b = self._both_paths(dag, config, seed, monkeypatch)
-        assert a.bank_of == b.bank_of
-        assert a.write_pe == b.write_pe
-        assert a.predicted_read_conflicts == b.predicted_read_conflicts
-        assert a.repairs == b.repairs
+        _assert_same_mapping(*self._both(dag, config, seed))
 
-    def test_fallbacks_exercised(self, monkeypatch):
+    def test_fallbacks_exercised(self):
         """The parity claim must cover the s == 0 interleavings."""
         from repro.arch import ArchConfig
 
         dag = generate_synth("layered", 600, seed=3)
         config = ArchConfig(depth=1, banks=8, regs_per_bank=32)
-        a, b = self._both_paths(dag, config, 5, monkeypatch)
+        a, b = self._both(dag, config, 5)
         assert a.predicted_read_conflicts > 0  # conflict path taken
-        assert a.bank_of == b.bank_of
-        assert a.predicted_read_conflicts == b.predicted_read_conflicts
+        _assert_same_mapping(a, b)
+
+    def test_repair_path_exercised(self):
+        """Constraint-H repairs relocate assigned outputs mid-run."""
+        from repro.arch import ArchConfig
+
+        dag = generate_synth("layered", 6000, seed=3)
+        config = ArchConfig(depth=3, banks=64, regs_per_bank=32)
+        a, b = self._both(dag, config, 1)
+        assert a.repairs > 0  # repair path taken
+        _assert_same_mapping(a, b)
+
+
+@st.composite
+def small_bank_cases(draw):
+    from repro.arch import dse_grid
+
+    config = draw(
+        st.sampled_from([c for c in dse_grid() if c.banks <= 16])
+    )
+    return draw(synth_dags()), config, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_bank_cases())
+def test_mapping_constraints_hold(case):
+    """Constraints F, G and H on every mapping, and parity with the
+    reference mapper.
+
+    G (a block's outputs in distinct banks) and H (each output in a
+    bank its PE can write) hold on the mapping itself.  F (a block's
+    inputs in distinct banks) is what the mapper aims for but may
+    give up when a variable has no compatible bank left; the scheduler
+    then adds copies, so F holds on the program: every ``exec`` reads
+    each bank at most once.
+    """
+    from mapper_reference import reference_map_banks
+
+    from repro.arch import ExecInstr, Interconnect
+    from repro.compiler import compile_dag
+
+    dag, config, seed = case
+    result = compile_dag(dag, config, seed=seed, validate_input=False)
+    decomp, mapping = result.decomposition, result.mapping
+    ic = Interconnect(config)
+    bank_of = mapping.bank_of
+    io_vars = set()
+    for block in decomp.blocks:
+        io_vars |= block.input_vars | block.output_vars
+        out_banks = [bank_of[v] for v in block.output_vars]
+        assert len(set(out_banks)) == len(out_banks)  # G
+        for v in block.output_vars:  # H
+            writable = ic.banks_writable_from(mapping.write_pe[v])
+            assert bank_of[v] in writable
+    assert set(bank_of) == io_vars
+    assert all(0 <= b < config.banks for b in bank_of.values())
+    for instr in result.program.instructions:  # F
+        if isinstance(instr, ExecInstr):
+            banks = [b for b, _ in instr.bank_reads]
+            assert len(set(banks)) == len(banks)
+            read = {v for _, v in instr.bank_reads}
+            assert read == decomp.blocks[instr.block_id].input_vars
+    _assert_same_mapping(
+        mapping, reference_map_banks(decomp, ic, seed=seed)
+    )
 
 
 @pytest.mark.parametrize("family", FAMILIES)
