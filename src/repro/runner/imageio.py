@@ -79,7 +79,7 @@ KIND_PLAN = 1
 KIND_PROGRAM = 2
 
 #: Crossbar ports one 64-bit port-use mask can describe.
-MAX_IMAGE_PORTS = 64
+_MAX_PORTS = 64
 
 _HEADER = struct.Struct("<4sHHIQQ4x")  # magic ver kind nsect paylen cksum
 _SECTION = struct.Struct("<8sQQB7x")  # tag offset length dtype
@@ -426,9 +426,9 @@ def dump_program(
 ) -> bytes:
     """Serialize a compiled program: packed bitstream + sidecars."""
     ports = program.config.num_trees * program.config.tree_inputs
-    if ports > MAX_IMAGE_PORTS:
+    if ports > _MAX_PORTS:
         raise ImageError(
-            f"program images hold at most {MAX_IMAGE_PORTS} crossbar "
+            f"program images hold at most {_MAX_PORTS} crossbar "
             f"ports per port-use mask; {program.config} has {ports}"
         )
     inter = interconnect or Interconnect(program.config)
