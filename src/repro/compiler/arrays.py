@@ -174,7 +174,7 @@ class DagArrays:
             grouped.append(groups)
         return grouped
 
-    def capped_heights(self, cap: int) -> np.ndarray:
+    def capped_heights(self, cap: int) -> list[int]:
         """Initial uncomputed-cone height per node, capped at ``cap + 1``.
 
         Inputs have height 0; an arithmetic node is one past the max of
@@ -197,4 +197,4 @@ class DagArrays:
                 if h > worst:
                     worst = h
             heights[node] = worst + 1 if worst < cap else overflow
-        return np.asarray(heights, dtype=np.int32)
+        return heights

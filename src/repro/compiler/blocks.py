@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-import numpy as np
 
 from ..arch import ArchConfig
 from ..errors import CompileError
@@ -117,21 +116,19 @@ def decompose(dag: DAG, config: ArchConfig) -> Decomposition:
     dfs_pos = arrays.dfs_pos.tolist()
 
     # height[node]: cone height under the current computed set, capped
-    # at depth+1.  Seeded by the level-synchronous array kernel,
-    # updated incrementally as blocks commit.
-    height = arrays.capped_heights(depth).tolist()
+    # at depth+1.  Seeded by one topological sweep, updated
+    # incrementally as blocks commit.
+    height = arrays.capped_heights(depth)
 
     # Candidate heaps per cone height, keyed by DFS position (lazy
     # deletion: entries are revalidated on pop).  A sorted list is a
     # valid min-heap, so the per-height bucket seeds skip heappush.
-    height_arr = np.asarray(height, dtype=np.int32)
-    buckets: list[list[tuple[int, int]]] = [[]]
-    for h in range(1, depth + 1):
-        members = np.flatnonzero(height_arr == h)
-        bucket = sorted(
-            zip(arrays.dfs_pos[members].tolist(), members.tolist())
-        )
-        buckets.append(bucket)
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(depth + 1)]
+    for node, h in enumerate(height):
+        if 1 <= h <= depth:
+            buckets[h].append((dfs_pos[node], node))
+    for bucket in buckets:
+        bucket.sort()
 
     blocks: list[Block] = []
 

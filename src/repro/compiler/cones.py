@@ -181,19 +181,16 @@ def build_cone(
     computed,
     sink: int,
     max_height: int,
-    height: int | None = None,
+    height: int,
 ) -> Cone | None:
     """Unroll ``sink``'s uncomputed region into a cone.
 
-    ``height`` is the sink's cone height under ``computed`` when the
-    caller already knows it (the decomposer maintains every node's
-    height incrementally); without it, :func:`cone_height` computes
-    it.  Returns ``None`` if the region is deeper than ``max_height``
-    (the candidate is not schedulable yet) or if ``sink`` is already
-    computed.
+    ``height`` is the sink's cone height under ``computed``, as
+    :func:`cone_height` gives it (the decomposer maintains every
+    node's height incrementally and passes that).  Returns ``None`` if
+    the region is deeper than ``max_height`` (the candidate is not
+    schedulable yet) or if ``sink`` is already computed.
     """
-    if height is None:
-        height = cone_height(dag, computed, sink, max_height)
     if height == 0 or height > max_height:
         return None
 

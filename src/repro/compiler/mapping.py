@@ -22,11 +22,14 @@ objective I).
 The state is plain Python in io-var index space (the io variables are
 sorted, so index order is variable order).  ``Sb`` is one int bitmask
 per variable and ``|Sb|`` its ``bit_count()``.  The unassigned
-variables sit in one sorted list per ``|Sb|``: a pop takes the
-``randrange``-th entry of the minimum list, i.e. the k-th variable in
-ascending order, and a peer that loses a bank moves one list down by
-bisection.  Each input or output group keeps a list of its unassigned
-members, so an assignment visits only live peers.  The random draws
+variables sit in sorted lists per ``|Sb|``, one for each index chunk
+of 4096 variables: a pop takes the ``randrange``-th entry of the
+minimum size's chunks read in order, i.e. the k-th variable in
+ascending order, and a peer that loses a bank moves to the next size
+down within its chunk by bisection.  Chunking bounds the list shift of
+such a move, which in one list per size grows with the DAG.  Each
+input or output group keeps a list of its unassigned members, so an
+assignment visits only live peers.  The random draws
 are one ``randrange`` per pop and one per bank choice (the k-th
 compatible bank in ascending order), the same sequence as the
 historical bucket-of-sets implementation, which
@@ -52,6 +55,12 @@ from ..arch import ArchConfig, Interconnect
 from ..errors import MappingError
 from .blocks import Decomposition
 from .placement import BlockPlacement, place_block, writer_pe
+
+#: Size buckets are split by io-var index into chunks of
+#: ``2**_CHUNK_BITS`` sorted lists: a size change then shifts one chunk
+#: (a few KB) instead of a whole bucket, which on DAGs with 10^5 io
+#: variables would cost more than the bookkeeping it replaces.
+_CHUNK_BITS = 12
 
 
 @dataclass
@@ -159,9 +168,10 @@ def _assign(
     """Greedy min-``|Sb|`` assignment; returns (bank of each io var,
     read conflicts, output repairs).
 
-    ``sb[i]`` is variable ``i``'s bank bitmask, ``by_size[s]`` the
-    sorted indices of unassigned variables with ``|Sb| = s``, and
-    ``live[g]`` the unassigned members of group ``g``.
+    ``sb[i]`` is variable ``i``'s bank bitmask and ``live[g]`` the
+    unassigned members of group ``g``.  The unassigned variables with
+    ``|Sb| = s`` are ``by_size[s]``: one sorted list per index chunk
+    of ``2**_CHUNK_BITS``.
     """
     index = {v: i for i, v in enumerate(io_vars)}
     sb = [(1 << banks) - 1] * len(io_vars)
@@ -170,9 +180,10 @@ def _assign(
         for b in options:
             mask |= 1 << b
         sb[index[v]] = mask
-    by_size: list[list[int]] = [[] for _ in range(banks + 1)]
+    num_chunks = (len(io_vars) >> _CHUNK_BITS) + 1
+    by_size = [[[] for _ in range(num_chunks)] for _ in range(banks + 1)]
     for i, mask in enumerate(sb):
-        by_size[mask.bit_count()].append(i)
+        by_size[mask.bit_count()][i >> _CHUNK_BITS].append(i)
     live = [[index[v] for v in g] for g in groups]
     gids_of = [var_groups[v] for v in io_vars]
 
@@ -180,6 +191,7 @@ def _assign(
     conflicts = 0
     repairs = 0
     randrange = rng.randrange
+    shift = _CHUNK_BITS
     # A pop lowers the minimum |Sb| by at most one (each peer loses at
     # most one bank), so the scan resumes just below the last minimum.
     s = 0
@@ -187,10 +199,15 @@ def _assign(
         # Pop the min-|Sb| variable: the k-th in ascending var order.
         if s:
             s -= 1
-        while not by_size[s]:
+        while not any(by_size[s]):
             s += 1
-        bucket = by_size[s]
-        i = bucket.pop(randrange(len(bucket)))
+        chunks = by_size[s]
+        k = randrange(sum(map(len, chunks)))
+        for chunk in chunks:
+            if k < len(chunk):
+                break
+            k -= len(chunk)
+        i = chunk.pop(k)
         v = io_vars[i]
 
         if s:
@@ -221,9 +238,10 @@ def _assign(
                 if mask & bit:
                     sb[j] = mask ^ bit
                     size = mask.bit_count()
-                    old = by_size[size]
+                    c = j >> shift
+                    old = by_size[size][c]
                     del old[bisect_left(old, j)]
-                    insort(by_size[size - 1], j)
+                    insort(by_size[size - 1][c], j)
     return bank_of, conflicts, repairs
 
 

@@ -425,7 +425,7 @@ def dump_program(
     interconnect: Interconnect | None = None,
 ) -> bytes:
     """Serialize a compiled program: packed bitstream + sidecars."""
-    ports = program.config.num_trees * program.config.tree_inputs
+    ports = program.config.banks  # one crossbar port per bank
     if ports > _MAX_PORTS:
         raise ImageError(
             f"program images hold at most {_MAX_PORTS} crossbar "

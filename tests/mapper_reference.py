@@ -8,6 +8,9 @@ and kept only as the A/B reference for :func:`repro.compiler.map_banks`,
 which must replay the identical random-choice sequence: same variable
 popped, same bank chosen, same conflict and repair fallbacks.
 
+The conflict and repair fallbacks (``_least_contended`` and
+``_repair_output``) are copied here as they were when the reference was
+frozen, so a change to the mapper's own copies shows up as a mismatch.
 Do not optimize this file; its value is that it does not change.
 """
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from repro.compiler.mapping import Mapping, _least_contended, _repair_output
+from repro.compiler.mapping import Mapping
 from repro.compiler.placement import place_block, writer_pe
 from repro.errors import MappingError
 
@@ -115,3 +118,75 @@ def _pop_min_sb(buckets, sb, unassigned, rng) -> int:
             bucket.discard(v)
             return v
     raise MappingError("no unassigned variable found (bucket corruption)")
+
+
+def _least_contended(
+    v: int,
+    candidates,
+    var_groups: dict[int, list[int]],
+    groups: list[list[int]],
+    bank_of: dict[int, int],
+    rng: random.Random,
+) -> int:
+    """Fallback of Algorithm 2 line 24: minimize simultaneous peers."""
+    contention = {b: 0 for b in candidates}
+    for gid in var_groups[v]:
+        for peer in groups[gid]:
+            b = bank_of.get(peer)
+            if b is not None and b in contention:
+                contention[b] += 1
+    best = min(contention.values())
+    return _rng_choice(rng, [b for b, c in contention.items() if c == best])
+
+
+def _repair_output(
+    v: int,
+    writable: dict[int, tuple[int, ...]],
+    bank_of: dict[int, int],
+    out_group_of: dict[int, int],
+    groups: list[list[int]],
+    rng: random.Random,
+) -> tuple[int, int]:
+    """Augmenting-path relocation for a bankless output (constraint H).
+
+    Returns (bank for ``v``, number of relocated peers).
+    """
+    gid = out_group_of[v]
+    peers = groups[gid]
+    taken: dict[int, int] = {}
+    for peer in peers:
+        b = bank_of.get(peer)
+        if b is not None:
+            taken[b] = peer
+
+    moved = 0
+
+    def try_take(var: int, visited: set[int]) -> int | None:
+        nonlocal moved
+        for b in writable[var]:
+            if b in visited:
+                continue
+            visited.add(b)
+            owner = taken.get(b)
+            if owner is None:
+                return b
+        for b in list(writable[var]):
+            owner = taken.get(b)
+            if owner is None or owner == var:
+                continue
+            alt = try_take(owner, visited)
+            if alt is not None:
+                taken[alt] = owner
+                bank_of[owner] = alt
+                moved += 1
+                return b
+        return None
+
+    bank = try_take(v, set())
+    if bank is None:
+        raise MappingError(
+            f"output var {v}: no writable bank even after repair — "
+            "output interconnect feasibility violated (compiler bug)"
+        )
+    taken[bank] = v
+    return bank, moved

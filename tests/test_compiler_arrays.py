@@ -161,7 +161,7 @@ class TestDagArrays:
     @given(synth_dags(), st.integers(min_value=1, max_value=5))
     def test_capped_heights_match_reference(self, dag, cap):
         arrays = DagArrays.of(dag)
-        got = arrays.capped_heights(cap).tolist()
+        got = arrays.capped_heights(cap)
         assert got == reference_capped_heights(dag, cap)
 
     def test_memoized_instance(self):
@@ -195,7 +195,7 @@ class TestDagArrays:
         dag = generate_synth("deep", 3, seed=0)
         arrays = DagArrays.of(dag)
         assert arrays.n == 3
-        assert arrays.capped_heights(2).tolist()[-1] >= 1
+        assert arrays.capped_heights(2)[-1] >= 1
 
 
 def _decompose(dag, config):

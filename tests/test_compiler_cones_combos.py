@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arch import ArchConfig
 from repro.compiler import (
     LeafInst,
     OpInst,
@@ -11,12 +12,14 @@ from repro.compiler import (
     build_cone,
     cone_depth_of,
     cone_height,
+    decompose,
     evaluate_cone,
     possible_depth_combinations,
 )
 from repro.errors import CompileError
 from repro.graphs import DAGBuilder, OpType, binarize
 from repro.testing import make_random_dag
+from repro.workloads.synth import SYNTH_FAMILIES, generate_synth
 
 
 def binary_dag(seed=1):
@@ -25,6 +28,13 @@ def binary_dag(seed=1):
 
 def leaves_computed(dag):
     return [dag.op(n) is OpType.INPUT for n in dag.nodes()]
+
+
+def unroll(dag, computed, sink, cap):
+    """``build_cone`` at the height ``cone_height`` gives."""
+    return build_cone(
+        dag, computed, sink, cap, cone_height(dag, computed, sink, cap)
+    )
 
 
 class TestConeHeight:
@@ -70,7 +80,7 @@ class TestBuildCone:
         t = b.add_mul([z, w])
         u = b.add_add([s, t])
         dag = b.build()
-        cone = build_cone(dag, leaves_computed(dag), u, 3)
+        cone = unroll(dag, leaves_computed(dag), u, 3)
         assert cone is not None
         assert cone.height == 2
         assert cone.nodes == {s, t, u}
@@ -84,7 +94,7 @@ class TestBuildCone:
         s = b.add_add([x, y])
         p = b.add_mul([s, s])
         dag = b.build()
-        cone = build_cone(dag, leaves_computed(dag), p, 3)
+        cone = unroll(dag, leaves_computed(dag), p, 3)
         assert cone.nodes == {s, p}
         assert cone.num_instances == 3  # s twice + p once
 
@@ -94,7 +104,7 @@ class TestBuildCone:
         s = b.add_add([x, y])
         t = b.add_mul([s, z])  # z needs one PASS stage
         dag = b.build()
-        cone = build_cone(dag, leaves_computed(dag), t, 3)
+        cone = unroll(dag, leaves_computed(dag), t, 3)
         assert cone.height == 2
         assert cone.num_instances == 3  # s, t, and one PASS for z
         assert isinstance(cone.root, OpInst)
@@ -105,7 +115,7 @@ class TestBuildCone:
         dag = binary_dag(5)
         computed = leaves_computed(dag)
         for sink in dag.sinks():
-            cone = build_cone(dag, computed, sink, 3)
+            cone = unroll(dag, computed, sink, 3)
             if cone is None:
                 continue
             assert cone_depth_of(cone.root) == cone.height
@@ -117,7 +127,7 @@ class TestBuildCone:
         for _ in range(4):
             n = b.add_mul([n, b.add_input()])
         dag = b.build()
-        assert build_cone(dag, leaves_computed(dag), n, 2) is None
+        assert unroll(dag, leaves_computed(dag), n, 2) is None
 
     def test_non_binary_dag_rejected(self):
         b = DAGBuilder()
@@ -126,18 +136,43 @@ class TestBuildCone:
         dag = b.build()
         computed = leaves_computed(dag)
         with pytest.raises(CompileError):
-            build_cone(dag, computed, sink, 3)
+            unroll(dag, computed, sink, 3)
 
     def test_evaluate_cone_matches_dag(self):
         dag = binary_dag(7)
         computed = leaves_computed(dag)
         values = {n: float(n % 5 + 1) for n in dag.nodes()}
         for sink in dag.sinks():
-            cone = build_cone(dag, computed, sink, 3)
+            cone = unroll(dag, computed, sink, 3)
             if cone is None:
                 continue
             direct = evaluate_cone(cone.root, values)
             assert isinstance(direct, float)
+
+    @pytest.mark.parametrize("family", sorted(SYNTH_FAMILIES))
+    def test_decomposer_heights_match_cone_height(self, family, monkeypatch):
+        """The decomposer hands ``build_cone`` the heights it maintains
+        incrementally; after every committed block they must equal a
+        fresh :func:`cone_height` walk for each uncomputed node."""
+        from repro.compiler import blocks
+
+        commit = blocks._commit_block
+        commits = []
+
+        def checked_commit(dag, depth, computed, height, *rest):
+            commit(dag, depth, computed, height, *rest)
+            commits.append(1)
+            for node in dag.nodes():
+                if not computed[node]:
+                    assert height[node] == cone_height(
+                        dag, computed, node, depth
+                    ), (family, len(commits), node)
+
+        monkeypatch.setattr(blocks, "_commit_block", checked_commit)
+        dag = binarize(generate_synth(family, 300, seed=3)).dag
+        for config in (ArchConfig(1, 4, 16), ArchConfig(3, 16, 32)):
+            decompose(dag, config)
+        assert commits
 
 
 class TestDepthCombinations:
